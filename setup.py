@@ -16,7 +16,10 @@ setup(
     python_requires=">=3.10",
     # No hard runtime dependencies: the ID-triple indexes keep their sorted
     # third level in a built-in bisect-maintained list (faster than chunked
-    # sorted containers at this store's run lengths), and numpy — when
-    # present — only accelerates the bulk-load column sort.
+    # sorted containers at this store's run lengths).  numpy is optional:
+    # when present it runs the bulk-load column sort, CSR snapshot
+    # assembly, scale-world generation and the SPARQL block join kernels;
+    # without it (or with REPRO_NO_NUMPY=1) each degrades to a pure-Python
+    # path with identical results.
     install_requires=[],
 )

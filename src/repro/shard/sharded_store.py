@@ -15,7 +15,8 @@ Partitioning invariants (everything above relies on these):
 * **Ranges are contiguous and increasing.**  Shard 0 owns the smallest
   subject IDs, the last shard owns an open-ended top range.  Chaining
   per-shard subject runs in shard order therefore yields a globally
-  sorted run — the gather side of a merge join never needs a heap.
+  sorted run — the block kernels' merge semi-join concatenates per-shard
+  runs without a heap.
 * **Subjects are disjoint across shards.**  Distinct-subject counts and
   per-shard statistics sum exactly; only predicate/object distinct
   counts need cross-shard set unions.
@@ -793,7 +794,7 @@ class ShardedTripleStore:
         With an unbound subject the shards are chained in range order, so
         shapes whose iteration order is a sorted subject run on a single
         store — ``(?, p, o)`` most importantly — stay globally sorted
-        across shards, which the merge-join gather relies on.
+        across shards.
         """
         if subject is not None:
             return self.shard_for_subject(subject).match_ids(
@@ -806,32 +807,6 @@ class ShardedTripleStore:
     ) -> Iterator[Tuple[int, int, int]]:
         for shard in self._shards:
             yield from shard.match_ids(None, predicate, object)
-
-    def sorted_run_ids(
-        self,
-        subject: Optional[int] = None,
-        predicate: Optional[int] = None,
-        object: Optional[int] = None,
-    ):
-        """The globally sorted ID run of a two-constant pattern.
-
-        Subject-bound shapes live entirely in one shard; the subject-run
-        shape ``(?, p, o)`` concatenates the per-shard sorted runs, which
-        is already globally sorted because shard subject ranges are
-        contiguous and increasing.  Returned lazily so merge joins that
-        short-circuit never touch the trailing shards.
-        """
-        if subject is not None:
-            return self.shard_for_subject(subject).sorted_run_ids(
-                subject, predicate, object
-            )
-        if predicate is not None and object is not None:
-            return self._chain_subject_runs(predicate, object)
-        raise StoreError("sorted_run_ids requires exactly two constant positions")
-
-    def _chain_subject_runs(self, predicate: int, object: int) -> Iterator[int]:
-        for shard in self._shards:
-            yield from shard.sorted_run_ids(None, predicate, object)
 
     def count_ids(
         self,

@@ -16,28 +16,28 @@ Plan → operator pipeline
 Each basic graph pattern goes through :func:`repro.sparql.plan.plan_bgp`:
 a greedy planner estimates per-pattern cardinalities from the store's
 index bookkeeping, orders patterns by estimated output size given the
-variables already bound, and labels every step with a physical operator.
-The evaluator then assembles the generator chain from those labels:
+variables already bound, and labels every step with a physical operator
+(``scan`` / ``merge`` / ``hash`` / ``nested``).  The evaluator runs a plan
+one of two ways:
 
-* ``scan`` / ``nested`` — per-solution index lookups
-  (:meth:`_join_pattern`), the cheapest choice for selective patterns;
-* ``merge`` — :meth:`_merge_join`, a sort-merge semi-join that walks the
-  pattern's sorted third-level ID run in lockstep with the (sorted)
-  solution stream;
-* ``hash`` — :meth:`_hash_join`, which builds a hash table over the
-  smaller estimated side once and probes it per streamed solution (also
-  used to avoid rescanning disconnected patterns per solution).
+* a *root* group (empty input binding, no VALUES) runs through the numpy
+  block kernels (:mod:`repro.sparql.kernels`), which map the labels onto
+  block scans, ``searchsorted`` semi-joins, probe joins and cross
+  products, and hand any non-vectorizable suffix to :meth:`_join_pattern`;
+* every other planned step — bound-input groups (OPTIONAL / EXISTS /
+  UNION branches, VALUES-fed groups), plans whose first scan does not
+  vectorize, and everything when numpy is missing or ``REPRO_NO_NUMPY``
+  is set — runs :meth:`_join_pattern`, the per-solution index probe.
 
-All operators stream left-to-right, so ASK / LIMIT short-circuiting is
-preserved; the hash build side is the only materialised piece and the
-planner only picks it when that side is the smaller one.  Plans are
-cached per (group, bound-variables) and invalidated whenever the store's
-``data_version`` mutation stamp changes (every ``add`` / ``remove`` /
-``bulk_load`` bumps it, so plans cannot go stale after mutations that
-leave the size unchanged); ``QueryEvaluator(store, use_planner=False)``
-keeps the original constant-count ordering with nested joins as a
-reference implementation (benchmarks and property tests cross-check the
-two).
+Both paths stream, so ASK / LIMIT short-circuiting is preserved.  Plans
+are cached per (group, bound-variables) and invalidated whenever the
+store's ``data_version`` mutation stamp changes (every ``add`` /
+``remove`` / ``bulk_load`` bumps it, so plans cannot go stale after
+mutations that leave the size unchanged).
+``QueryEvaluator(store, use_planner=False)`` keeps the original
+constant-count ordering over :meth:`_join_pattern` as the single
+reference implementation (benchmarks, property and differential tests
+cross-check the planned path against it).
 """
 
 from __future__ import annotations
@@ -66,15 +66,7 @@ from repro.sparql import kernels
 from repro.sparql.bindings import Binding, IdBinding, Variable
 from repro.sparql.functions import EvalError, ExpressionEvaluator, value_to_term
 from repro.sparql.parser import parse_query
-from repro.sparql.plan import (
-    HASH,
-    MERGE,
-    PLAN_CACHE_LIMIT,
-    BGPPlan,
-    plan_bgp,
-    plan_context,
-    resolve_pattern_ids,
-)
+from repro.sparql.plan import PLAN_CACHE_LIMIT, BGPPlan, plan_bgp, plan_context
 from repro.sparql.results import AskResult, ResultSet
 from repro.store.triplestore import TripleStore
 
@@ -116,34 +108,22 @@ class QueryEvaluator:
     store:
         The dataset queried.
     use_planner:
-        When ``True`` (default), basic graph patterns are ordered and
-        joined by the cardinality-driven planner (:mod:`repro.sparql.plan`).
-        ``False`` keeps the original constant-count ordering with nested
-        index-lookup joins — a reference implementation used by property
-        tests and benchmarks to cross-check the planned operators.
-    use_vectorized:
-        ``None`` (default) runs planned BGPs through the numpy block
-        kernels (:mod:`repro.sparql.kernels`) whenever they are available;
-        ``False`` keeps the scalar per-row operators as the differential
-        reference.  ``True`` still degrades silently to the scalar path
-        when numpy is missing or ``REPRO_NO_NUMPY`` is set, so callers
-        never need to guard on the environment.
+        When ``True`` (default), basic graph patterns are ordered by the
+        cardinality-driven planner (:mod:`repro.sparql.plan`); root groups
+        run through the numpy block kernels whenever
+        :func:`~repro.sparql.kernels.kernels_available` holds at
+        construction, every other step through per-solution index probes.
+        ``False`` keeps the original constant-count ordering with
+        per-solution probes only — the reference implementation property
+        and differential tests cross-check the planned path against.
     """
 
-    def __init__(
-        self,
-        store: TripleStore,
-        use_planner: bool = True,
-        use_vectorized: Optional[bool] = None,
-    ):
+    def __init__(self, store: TripleStore, use_planner: bool = True):
         self.store = store
         self._dict = store.dictionary
         self._expressions = ExpressionEvaluator(exists_callback=self._exists)
         self._use_planner = use_planner
-        if use_vectorized is None:
-            self._use_vectorized = kernels.kernels_available()
-        else:
-            self._use_vectorized = bool(use_vectorized) and kernels.kernels_available()
+        self._use_kernels = kernels.kernels_available()
         self._metrics = obs_metrics.registry()
         self._tracer = obs_trace.recorder()
         # Per-thread execution-mode note (single / fast-count / fold /
@@ -526,18 +506,18 @@ class QueryEvaluator:
                 tracer = self._tracer
                 trace_steps = root_call and tracer.active
                 vectorized = None
-                if self._use_vectorized and not values_nodes and root_call:
+                if self._use_kernels and not values_nodes and root_call:
                     # Kernels compute complete solutions from the store
                     # alone, so they only replace the single-empty-input
                     # case (the top-level group); OPTIONAL / EXISTS inner
-                    # groups carry bindings and stay scalar.
+                    # groups carry bindings and probe per solution.
                     vectorized = kernels.execute(self, plan)
                     if vectorized is not None:
                         self._metrics.increment("kernel.vectorized")
                     else:
                         self._metrics.increment("kernel.fallback.unsupported-step")
                 elif root_call:
-                    reason = "disabled" if not self._use_vectorized else "bound-input"
+                    reason = "disabled" if not self._use_kernels else "bound-input"
                     self._metrics.increment("kernel.fallback." + reason)
                 if vectorized is not None:
                     solutions = vectorized
@@ -549,16 +529,7 @@ class QueryEvaluator:
                             solutions = obs_trace.count_rows(span, solutions)
                 else:
                     for step in plan.steps:
-                        if step.operator == MERGE:
-                            solutions = self._merge_join(
-                                solutions, step.pattern, step.merge_variable
-                            )
-                        elif step.operator == HASH:
-                            solutions = self._hash_join(
-                                solutions, step.pattern, step.join_variables
-                            )
-                        else:  # scan / nested: per-solution index lookups
-                            solutions = self._join_pattern(solutions, step.pattern)
+                        solutions = self._join_pattern(solutions, step.pattern)
                         if trace_steps:
                             span = tracer.stream_span(
                                 "step:" + step.operator,
@@ -636,10 +607,10 @@ class QueryEvaluator:
         """Variables that VALUES binds in *every* row.
 
         A variable with an UNDEF row is only bound in some solutions, so
-        the planner must treat it as unbound: claiming it bound would let a
-        hash join use it as a probe key and silently drop the solutions
-        where it is missing (per-solution operators handle the mixed case
-        correctly once the pattern owns the variable).
+        the planner must treat it as unbound: claiming it bound would
+        divide its estimates by a selectivity the UNDEF rows do not have
+        (the per-solution probes handle the mixed case correctly either
+        way).
         """
         bound: set = set()
         for node in values_nodes:
@@ -699,123 +670,6 @@ class QueryEvaluator:
                         break
             if extended is not None:
                 yield extended
-
-    def _merge_join(
-        self,
-        solutions: Iterable[IdBinding],
-        pattern: TriplePatternNode,
-        variable: Variable,
-    ) -> Iterator[IdBinding]:
-        """Sort-merge semi-join against a two-constant pattern's sorted run.
-
-        Precondition (guaranteed by the planner): the solution stream is
-        nondecreasing on ``variable``, and ``pattern`` has exactly two
-        constant positions with ``variable`` in the third.  The pattern
-        binds no new variables, so matching solutions pass through
-        unchanged; both sides are walked once.
-        """
-        consts = self._resolve_constants(pattern)
-        if consts is None:
-            return
-        run = iter(self.store.sorted_run_ids(*consts))
-        current = next(run, None)
-        if current is None:
-            return
-        for solution in solutions:
-            value = solution.get(variable)
-            if type(value) is not int:
-                continue  # out-of-dictionary term can never match
-            while current is not None and current < value:
-                current = next(run, None)
-            if current is None:
-                break  # left keys only grow; nothing further can match
-            if current == value:
-                yield solution
-
-    def _hash_join(
-        self,
-        solutions: Iterable[IdBinding],
-        pattern: TriplePatternNode,
-        join_variables: Tuple[Variable, ...],
-    ) -> Iterator[IdBinding]:
-        """Hash join: build on the pattern side once, probe per solution.
-
-        The build side is the pattern's full match set keyed on the shared
-        variables (the planner picks this operator only when that side is
-        the smaller one, or when there are no shared variables and
-        rescanning per solution would be worse).  Building happens lazily
-        on the first streamed solution, so an empty left side costs
-        nothing.
-        """
-        table: Optional[dict] = None
-        for solution in solutions:
-            if table is None:
-                table = self._build_join_table(pattern, join_variables)
-                if not table:
-                    return
-            if join_variables:
-                key = []
-                valid = True
-                for variable in join_variables:
-                    value = solution.get(variable)
-                    if type(value) is not int:
-                        valid = False  # out-of-dictionary term: no match
-                        break
-                    key.append(value)
-                if not valid:
-                    continue
-                bucket = table.get(tuple(key))
-            else:
-                bucket = table.get(())
-            if not bucket:
-                continue
-            for assignment in bucket:
-                extended: Optional[IdBinding] = solution
-                for variable, value in assignment:
-                    extended = extended.extend(variable, value)  # type: ignore[union-attr]
-                    if extended is None:
-                        break
-                if extended is not None:
-                    yield extended
-
-    def _resolve_constants(
-        self, pattern: TriplePatternNode
-    ) -> Optional[List[Optional[int]]]:
-        """IDs of the pattern's constant positions (``None`` per variable).
-
-        Returns ``None`` when a constant is unknown to the dictionary — the
-        pattern provably matches nothing.
-        """
-        return resolve_pattern_ids(self._dict, pattern)
-
-    def _build_join_table(
-        self, pattern: TriplePatternNode, join_variables: Tuple[Variable, ...]
-    ) -> dict:
-        """Scan ``pattern`` once into ``join-key -> [variable assignments]``."""
-        consts = self._resolve_constants(pattern)
-        if consts is None:
-            return {}
-        positions = (pattern.subject, pattern.predicate, pattern.object)
-        table: dict = {}
-        for ids in self.store.match_ids(*consts):
-            assignment: dict = {}
-            consistent = True
-            for term, value in zip(positions, ids):
-                if isinstance(term, Variable):
-                    previous = assignment.get(term)
-                    if previous is None:
-                        assignment[term] = value
-                    elif previous != value:
-                        consistent = False  # repeated variable, unequal values
-                        break
-            if not consistent:
-                continue
-            key = tuple(assignment[v] for v in join_variables)
-            bucket = table.get(key)
-            if bucket is None:
-                bucket = table[key] = []
-            bucket.append(tuple(assignment.items()))
-        return table
 
     def _apply_filter(
         self, solutions: Iterable[IdBinding], node: FilterNode

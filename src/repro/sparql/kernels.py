@@ -12,10 +12,10 @@ operations over the very same CSR columns the indexes already keep:
   patterns, :meth:`~repro.store.index.FrozenIdIndex.key_columns` for
   one-constant, the full five-column CSR for zero-constant), then streams
   out in bounded blocks.
-* **Merge** — the sort-merge semi-join becomes one ``np.searchsorted``
+* **Merge** — a ``merge`` step's semi-join is one ``np.searchsorted``
   probe of the block's join column against the pattern's sorted run.
-* **Probe** — hash joins on a single shared variable (and ``nested``
-  steps cheap enough to build) become a sorted-build + ``searchsorted``
+* **Probe** — ``hash`` steps on a single shared variable (and ``nested``
+  steps cheap enough to build) run as a sorted-build + ``searchsorted``
   range expansion: the classic ``repeat``/``cumsum`` gather that emits
   every (left row, build row) match pair without a Python loop.
 * **Cartesian** — disconnected patterns cross in ``repeat``/``tile``
@@ -24,18 +24,19 @@ operations over the very same CSR columns the indexes already keep:
 Everything stays *streaming at block granularity*: blocks are produced
 lazily, so ASK stops after the first emitted row and LIMIT after the
 first full page, paying at most one block (:data:`BLOCK_ROWS` rows) of
-slack.  Kernels preserve the left stream's row order, so a scalar
-``merge`` operator running after the vectorized prefix still sees the
-nondecreasing stream the planner promised it.  Results are multiset-
-identical to the scalar operators — the differential harnesses pin this
-across warm, cold-mmap and sharded stores.
+slack.  Kernels preserve the left stream's row order; any plan steps
+after the vectorized prefix run through the evaluator's per-solution
+probe (:meth:`~repro.sparql.evaluate.QueryEvaluator._join_pattern`).
+Results are multiset-identical to the unplanned reference evaluator —
+the differential harnesses pin this across warm, cold-mmap and sharded
+stores.
 
 The kernels are generic over index forms: warm ``array('q')`` columns,
 frozen snapshot ``memoryview`` windows (mmap included) and sharded
 stores (per-shard columns concatenate; subject-range partitioning keeps
 concatenated subject runs sorted).  When numpy is missing — or
 ``REPRO_NO_NUMPY`` is set — :func:`kernels_available` is ``False`` and
-the evaluator keeps its pure-Python operators.
+every planned step runs the evaluator's per-solution probe.
 """
 
 from __future__ import annotations
@@ -46,7 +47,15 @@ from typing import Iterator, List, Optional, Tuple
 from repro.obs import config as _config
 from repro.sparql.ast import TriplePatternNode
 from repro.sparql.bindings import IdBinding, Variable
-from repro.sparql.plan import HASH, MERGE, NESTED, SCAN, BGPPlan, PlanStep
+from repro.sparql.plan import (
+    HASH,
+    MERGE,
+    NESTED,
+    SCAN,
+    BGPPlan,
+    PlanStep,
+    resolve_pattern_ids,
+)
 from repro.store.index import ColumnView
 
 try:  # numpy is an optional accelerator throughout the library
@@ -62,7 +71,7 @@ BLOCK_ROWS = 4096
 #: pattern's standalone build estimate stays within this factor of the
 #: incoming stream's estimated cardinality (plus a flat allowance) —
 #: building a huge table to probe it with a handful of rows would trade
-#: the scalar path's selectivity away.
+#: the per-solution probe's selectivity away.
 NESTED_BUILD_FACTOR = 16.0
 NESTED_BUILD_MIN = 4096.0
 
@@ -100,15 +109,18 @@ def _empty_cols(count: int) -> List:
 # --------------------------------------------------------------------- #
 # Pattern tables: a pattern's match set as parallel ID columns
 # --------------------------------------------------------------------- #
-def _pattern_columns(store, consts) -> Tuple[int, List]:
+def pattern_columns(store, consts) -> Tuple[int, List]:
     """The match set of a resolved pattern as ``(row_count, columns)``.
 
-    ``consts`` is the ``[s, p, o]`` list from ``_resolve_constants``
-    (``None`` per variable position); the returned columns align with the
-    variable positions in s, p, o order.  Sharded stores concatenate
-    per-shard columns — subjects partition by ID range, so concatenated
-    subject runs remain sorted and fully-constant probes hit exactly one
-    shard.
+    ``consts`` is the ``[s, p, o]`` list from
+    :func:`~repro.sparql.plan.resolve_pattern_ids` (``None`` per variable
+    position); the returned columns align with the variable positions in
+    s, p, o order.  Sharded stores concatenate per-shard columns —
+    subjects partition by ID range, so concatenated subject runs remain
+    sorted and fully-constant probes hit exactly one shard.  The
+    cross-shard join shipper (:mod:`repro.sparql.distjoin`) also uses it
+    to materialise broadcast sides; callers must check
+    :func:`kernels_available` first.
     """
     shards = getattr(store, "shards", None)
     if shards is not None:
@@ -116,7 +128,7 @@ def _pattern_columns(store, consts) -> Tuple[int, List]:
         total = 0
         parts: Optional[List[List]] = None
         for shard in shards:
-            n, cols = _pattern_columns(shard, consts)
+            n, cols = pattern_columns(shard, consts)
             if not n:
                 continue
             total += n
@@ -184,16 +196,6 @@ def _expand_key(seconds, bounds, thirds):
     return _np.repeat(seconds, _np.diff(bounds)), thirds
 
 
-def pattern_columns(store, consts) -> Tuple[int, List]:
-    """Public wrapper over :func:`_pattern_columns` for other modules.
-
-    The cross-shard join shipper (:mod:`repro.sparql.distjoin`) uses it to
-    materialise a broadcast side's ID columns in one vectorized pass.
-    Callers must check :func:`kernels_available` first.
-    """
-    return _pattern_columns(store, consts)
-
-
 def _pattern_run(store, consts):
     """A two-constant pattern's sorted third-level run as one array."""
     shards = getattr(store, "shards", None)
@@ -229,7 +231,7 @@ def _pattern_variables(pattern: TriplePatternNode) -> Tuple[Variable, ...]:
 
 def _scan_blocks(store, pattern, consts) -> Iterator[Tuple]:
     variables = _pattern_variables(pattern)
-    n, cols = _pattern_columns(store, consts)
+    n, cols = pattern_columns(store, consts)
     if not n:
         return
     for start in range(0, n, BLOCK_ROWS):
@@ -322,7 +324,7 @@ def _vectorizable_prefix(steps: Tuple[PlanStep, ...]) -> int:
     operator must map onto a kernel — ``merge`` always does, ``hash``
     needs at most one join variable, ``nested`` exactly one plus a build
     side the estimates call affordable.  Suffix steps run through the
-    scalar operators unchanged.
+    evaluator's per-solution probe.
     """
     prefix = 0
     for index, step in enumerate(steps):
@@ -361,10 +363,10 @@ def execute(evaluator, plan: BGPPlan) -> Optional[Iterator[IdBinding]]:
 
     Returns a lazy :class:`IdBinding` iterator covering the *whole* plan —
     the vectorized prefix feeds any remaining steps through the
-    evaluator's scalar operators — or ``None`` when not even the first
-    scan vectorizes (the caller keeps its scalar pipeline).  Only called
-    for single-input groups (empty initial binding, no VALUES): kernels
-    compute complete solutions from the store alone.
+    evaluator's per-solution probe — or ``None`` when not even the first
+    scan vectorizes (the caller then probes every step per solution).
+    Only called for single-input groups (empty initial binding, no
+    VALUES): kernels compute complete solutions from the store alone.
     """
     steps = plan.steps
     prefix = _vectorizable_prefix(steps)
@@ -375,18 +377,18 @@ def execute(evaluator, plan: BGPPlan) -> Optional[Iterator[IdBinding]]:
 
 def _execute(evaluator, steps, prefix) -> Iterator[IdBinding]:
     store = evaluator.store
-    consts = evaluator._resolve_constants(steps[0].pattern)
+    consts = resolve_pattern_ids(store.dictionary, steps[0].pattern)
     if consts is None:
         return  # a constant the dictionary never saw: provably empty
     blocks = _scan_blocks(store, steps[0].pattern, consts)
     for step in steps[1:prefix]:
-        consts = evaluator._resolve_constants(step.pattern)
+        consts = resolve_pattern_ids(store.dictionary, step.pattern)
         if consts is None:
             return
         if step.operator == MERGE:
             blocks = _merge_blocks(blocks, _pattern_run(store, consts), step.merge_variable)
         elif step.join_variables:
-            build_n, build_cols = _pattern_columns(store, consts)
+            build_n, build_cols = pattern_columns(store, consts)
             if not build_n:
                 return
             blocks = _probe_blocks(
@@ -396,20 +398,11 @@ def _execute(evaluator, steps, prefix) -> Iterator[IdBinding]:
                 step.join_variables[0],
             )
         else:
-            build_n, build_cols = _pattern_columns(store, consts)
+            build_n, build_cols = pattern_columns(store, consts)
             blocks = _cross_blocks(
                 blocks, _pattern_variables(step.pattern), build_cols, build_n
             )
     solutions: Iterator[IdBinding] = _emit(blocks)
     for step in steps[prefix:]:
-        if step.operator == MERGE:
-            solutions = evaluator._merge_join(
-                solutions, step.pattern, step.merge_variable
-            )
-        elif step.operator == HASH:
-            solutions = evaluator._hash_join(
-                solutions, step.pattern, step.join_variables
-            )
-        else:
-            solutions = evaluator._join_pattern(solutions, step.pattern)
+        solutions = evaluator._join_pattern(solutions, step.pattern)
     yield from solutions

@@ -34,6 +34,10 @@ which physical join operator the evaluator should run:
    * ``nested`` — the classic per-solution index lookup, kept for
      selective patterns where probing the index directly is cheapest.
 
+   The block kernels (:mod:`repro.sparql.kernels`) honour these labels
+   for root groups; every other step runs as a per-solution index probe
+   whatever its label.
+
 Plans are plain data (:class:`BGPPlan` / :class:`PlanStep`), so tests and
 diagnostics can inspect the chosen order and operators without running
 the query.  Planning never affects correctness — operators are chosen

@@ -10,8 +10,8 @@ has the same variable in subject position (the star shape of the
 aligner's batched ``VALUES ?s {...} ?s ?p ?o`` probes).  Any solution
 then binds that variable to one subject ID, and subject-range
 partitioning puts *all* triples of that subject in one shard — so the
-whole planned merge/hash/nested pipeline runs per shard against that
-shard's local evaluator and the per-shard streams are chained lazily.
+whole planned pipeline runs per shard against that shard's local
+evaluator and the per-shard streams are chained lazily.
 ASK and LIMIT short-circuit across shards: trailing shards are never
 evaluated once the consumer stops.  The :class:`ShardRouter` prunes
 shards first — by the owning shard when the subject is bound (initial
@@ -30,10 +30,12 @@ side stays under ``REPRO_RESULT_WINDOW``'s sibling knob
 
 **Global gather** — everything else runs the inherited evaluator against
 the :class:`ShardedTripleStore` itself, whose ID-level API merges the
-shards: subject-bound lookups route, counts sum, and two-constant
-sorted runs concatenate into globally sorted runs the existing
-merge-join operators stream directly.  This path is correct for
-arbitrary queries (cross-subject chains, FILTER NOT EXISTS, ...).
+shards: subject-bound lookups route, counts sum and unbound-subject
+scans chain the shards in range order.  The block kernels concatenate
+per-shard columns (subject-range partitioning keeps subject runs
+globally sorted); per-solution probes go through the merged
+``match_ids``.  This path is correct for arbitrary queries
+(cross-subject chains, FILTER NOT EXISTS, ...).
 
 On top of the per-group strategy, COUNT-only aggregate queries over a
 scattered or shipped group push the *fold* down to the shards: each
@@ -82,7 +84,7 @@ from repro.sparql.distjoin import ShipPlan, build_ship_plan, execute_ship_plan
 from repro.sparql.evaluate import QueryEvaluator
 from repro.sparql.fold import FoldSpec, build_fold_spec, finalize, fold_local, merge_partial
 from repro.sparql.parser import parse_query
-from repro.sparql.plan import BGPPlan, PLAN_CACHE_LIMIT
+from repro.sparql.plan import BGPPlan, PLAN_CACHE_LIMIT, resolve_pattern_ids
 from repro.sparql.results import ResultSet
 
 #: Cache sentinel: the group was analysed and is not co-partitioned.
@@ -328,10 +330,11 @@ class ShardedQueryEvaluator(QueryEvaluator):
         snapshot of ``store`` (see
         :meth:`~repro.shard.sharded_store.ShardedTripleStore.serve`).
         Required — and only meaningful — when ``backend="process"``.
-    use_vectorized:
-        Forwarded to the per-shard and merged-view evaluators: the block
-        join kernels run both on the global-gather path (per-shard columns
-        concatenate) and inside each shard-local evaluator.
+
+    The block join kernels run whenever
+    :func:`~repro.sparql.kernels.kernels_available` holds: on the
+    global-gather path (per-shard columns concatenate) and inside each
+    shard-local evaluator.
     """
 
     def __init__(
@@ -340,7 +343,6 @@ class ShardedQueryEvaluator(QueryEvaluator):
         use_planner: bool = True,
         backend: str = "thread",
         executor=None,
-        use_vectorized=None,
     ):
         if not isinstance(store, ShardedTripleStore):
             raise TypeError(
@@ -378,13 +380,12 @@ class ShardedQueryEvaluator(QueryEvaluator):
                     "ShardedTripleStore was mutated after its snapshot "
                     "was written; call serve() again to refresh it"
                 )
-        super().__init__(store, use_planner=use_planner, use_vectorized=use_vectorized)
+        super().__init__(store, use_planner=use_planner)
         self.backend = backend
         self._executor = executor
         self._router = ShardRouter(store)
         self._locals = tuple(
-            QueryEvaluator(shard, use_planner=use_planner, use_vectorized=use_vectorized)
-            for shard in store.shards
+            QueryEvaluator(shard, use_planner=use_planner) for shard in store.shards
         )
         self._scatter_cache: Dict[GroupGraphPattern, object] = {}
         self._ship_cache: Dict[GroupGraphPattern, Tuple] = {}
@@ -662,7 +663,7 @@ class ShardedQueryEvaluator(QueryEvaluator):
             candidates = None
         id_patterns = []
         for pattern in plan.anchor.elements:
-            consts = self._resolve_constants(pattern)
+            consts = resolve_pattern_ids(self._dict, pattern)
             if consts is None:  # a constant unknown to the dictionary
                 return ()
             id_patterns.append(tuple(consts))
@@ -703,7 +704,7 @@ class ShardedQueryEvaluator(QueryEvaluator):
         patterns = [e for e in group.elements if isinstance(e, TriplePatternNode)]
         id_patterns = []
         for pattern in patterns:
-            consts = self._resolve_constants(pattern)
+            consts = resolve_pattern_ids(self._dict, pattern)
             if consts is None:  # a constant unknown to the dictionary
                 return (), ()
             id_patterns.append(tuple(consts))
@@ -798,7 +799,7 @@ class ShardedQueryEvaluator(QueryEvaluator):
             set(candidates) if candidates is not None else set(self._router.all_shards())
         )
         for step in base.steps:
-            consts = self._resolve_constants(step.pattern)
+            consts = resolve_pattern_ids(self._dict, step.pattern)
             if step.pattern in shipped:
                 # Broadcast to every routed worker: shard routing does
                 # not apply and the pattern never constrains `surviving`.

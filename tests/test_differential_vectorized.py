@@ -1,8 +1,8 @@
-"""Differential fuzzing: vectorized kernels vs the scalar reference.
+"""Differential fuzzing: vectorized kernels vs the unplanned reference.
 
 For hypothesis-generated datasets, every query family must produce the
 same solution multiset whether the group is evaluated by the block
-kernels or by the scalar per-row operators — across every backend the
+kernels or by the unplanned per-row reference — across every backend the
 kernels claim to support:
 
 * the warm single store,
@@ -11,7 +11,7 @@ kernels claim to support:
 * the process-backed scatter executor (whose workers build their own
   vectorized evaluators over the per-shard snapshots).
 
-The reference is always ``QueryEvaluator(..., use_vectorized=False)``.
+The reference is always ``QueryEvaluator(..., use_planner=False)``.
 LIMIT pages may legitimately differ in *which* rows they pick, so they
 assert size + subset-of-universe instead of identity (ASK and LIMIT also
 exercise the early-exit path through the block stream).
@@ -100,8 +100,8 @@ def _select(*elements, **modifiers) -> SelectQuery:
 
 
 def _vectorized_evaluators(triples, stack: ExitStack):
-    """``(scalar reference, [(label, vectorized evaluator), ...])``."""
-    reference = QueryEvaluator(TripleStore(triples=triples), use_vectorized=False)
+    """``(unplanned reference, [(label, vectorized evaluator), ...])``."""
+    reference = QueryEvaluator(TripleStore(triples=triples), use_planner=False)
     warm = TripleStore(triples=triples)
     evaluators = [("warm", QueryEvaluator(warm))]
     tmp = Path(tempfile.mkdtemp(prefix="diffvec-"))

@@ -157,20 +157,6 @@ class TestQuerySurface:
         assert list(sharded.match(subject=EX.never_seen)) == []
         assert sharded.count(subject=EX.never_seen) == 0
 
-    def test_subject_runs_concatenate_sorted(self, triples):
-        sharded = ShardedTripleStore(num_shards=4, triples=triples)
-        pid = sharded.term_id(EX.p1)
-        object_ids = set(sharded.position_ids("o", None, pid, None))
-        assert object_ids
-        for oid in object_ids:
-            run = list(sharded.sorted_run_ids(None, pid, oid))
-            assert run == sorted(run)
-
-    def test_sorted_run_requires_two_constants(self, triples):
-        sharded = ShardedTripleStore(num_shards=2, triples=triples)
-        with pytest.raises(StoreError):
-            sharded.sorted_run_ids(None, sharded.term_id(EX.p1), None)
-
     def test_count_distinct_across_shards(self, triples, single):
         sharded = ShardedTripleStore(num_shards=8, triples=triples)
         pid = single.term_id(EX.p1)

@@ -267,7 +267,7 @@ class TestOrderByLimitTopK:
         )
         for evaluator in (
             QueryEvaluator(world.store),
-            QueryEvaluator(world.store, use_vectorized=False),
+            QueryEvaluator(world.store, use_planner=False),
         ):
             full = evaluator.evaluate(parse_query(base))
             page = evaluator.evaluate(parse_query(base + " OFFSET 7 LIMIT 25"))

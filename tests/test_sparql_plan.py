@@ -35,6 +35,18 @@ def skewed_store() -> TripleStore:
     return store
 
 
+def fanout_store() -> TripleStore:
+    """5 ``t`` facts, each subject fanning out over 100 ``f`` objects, 50 ``g``."""
+    store = TripleStore()
+    for i in range(5):
+        store.add(Triple(EX[f"s{i}"], EX.t, EX[f"a{i}"]))
+        for j in range(100):
+            store.add(Triple(EX[f"s{i}"], EX.f, EX[f"x{j}"]))
+    for j in range(50):
+        store.add(Triple(EX[f"x{j}"], EX.g, EX[f"c{j}"]))
+    return store
+
+
 class TestPlanOrdering:
     def test_most_selective_pattern_runs_first_despite_text_order(self):
         store = skewed_store()
@@ -81,7 +93,7 @@ class TestPlanOrdering:
 
 
 class TestOperatorSelection:
-    def test_merge_join_on_sorted_run_compatible_bgp(self):
+    def test_merge_on_sorted_run_compatible_bgp(self):
         # ?s tiny t0 . ?s big v0 — both two-constant patterns over the same
         # variable: the first scan streams ?s in sorted ID order, so the
         # second side can sort-merge against its subject run.
@@ -120,17 +132,11 @@ class TestOperatorSelection:
         assert plan.operators() == ["scan", "nested"]
         assert plan.steps[1].join_variables == (S,)
 
-    def test_hash_join_when_stream_larger_than_build(self):
+    def test_hash_when_stream_larger_than_build(self):
         # t (5 rows) scans first, f fans the stream out to ~500 rows, and
         # only then is g (50 facts) joined: 500 probes against a 50-entry
         # build side, so the planner picks the hash operator for g.
-        store = TripleStore()
-        for i in range(5):
-            store.add(Triple(EX[f"s{i}"], EX.t, EX[f"a{i}"]))
-            for j in range(100):
-                store.add(Triple(EX[f"s{i}"], EX.f, EX[f"x{j}"]))
-        for j in range(50):
-            store.add(Triple(EX[f"x{j}"], EX.g, EX[f"c{j}"]))
+        store = fanout_store()
         patterns = [
             TriplePatternNode(S, EX.t, Variable("a")),
             TriplePatternNode(S, EX.f, X),
@@ -187,6 +193,20 @@ class TestEvaluatorIntegration:
         )
         assert planner_rows == naive_rows
         assert planner_rows == [str(EX.e0)]
+
+    def test_hash_plan_returns_same_rows_as_naive(self):
+        # The planner labels the g step "hash"; it runs as a per-row probe
+        # and must still return every t/f/g solution.
+        store = fanout_store()
+        query = (
+            f"SELECT * WHERE {{ ?s <{EX.t.value}> ?a . ?s <{EX.f.value}> ?x . "
+            f"?x <{EX.g.value}> ?c }}"
+        )
+        assert QueryEvaluator(store).explain(query).operators()[2] == "hash"
+        planned = QueryEvaluator(store).evaluate(query)
+        naive = QueryEvaluator(store, use_planner=False).evaluate(query)
+        assert sorted(map(repr, planned)) == sorted(map(repr, naive))
+        assert len(planned) == 5 * 50
 
     def test_three_pattern_join_matches_naive(self):
         store = skewed_store()

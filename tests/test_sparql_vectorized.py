@@ -1,11 +1,13 @@
 """Unit tests for the vectorized join kernels.
 
 The kernels must (a) actually engage on the plans they claim to cover,
-(b) produce the same solution multisets as the scalar operators on every
-shape they do cover, (c) step aside — silently and correctly — on the
-shapes they don't (repeated in-pattern variables, VALUES-fed groups,
-missing NumPy), and (d) preserve the streaming contract so ASK and LIMIT
-still short-circuit.
+(b) produce the same solution multisets as the unplanned reference
+evaluator (``use_planner=False``) on every shape they do cover —
+including plans whose kernel prefix hands off to per-row probes —
+(c) step aside — silently and correctly — on the shapes they don't
+(repeated in-pattern variables, VALUES-fed groups, missing NumPy), and
+(d) preserve the streaming contract so ASK and LIMIT still
+short-circuit.
 """
 
 from collections import Counter
@@ -55,6 +57,10 @@ QUERIES = [
     "SELECT * WHERE { ?a <http://vec.test/p0> ?b . ?a <http://vec.test/p2> ?c }",
     # Full scan pattern (0 constants) joined against a selective one.
     "SELECT * WHERE { ?s ?p ?o . ?s <http://vec.test/p2> ?x }",
+    # Triangle: a 2-step kernel prefix (scan, nested) hands both ?a and ?c
+    # to a per-row suffix probe closing the cycle.
+    "SELECT * WHERE { ?a <http://vec.test/p0> ?b . ?b <http://vec.test/p1> ?c . "
+    "?c <http://vec.test/p2> ?a }",
     # Constant subject feeding the chain.
     "SELECT * WHERE { <http://vec.test/e0> <http://vec.test/p0> ?b . "
     "?b <http://vec.test/p1> ?c }",
@@ -74,8 +80,8 @@ class TestVectorizedAgainstScalar:
         store = chain_store()
         query = parse_query(query_text)
         vectorized = _multiset(QueryEvaluator(store).evaluate(query))
-        scalar = _multiset(QueryEvaluator(store, use_vectorized=False).evaluate(query))
-        assert vectorized == scalar
+        reference = _multiset(QueryEvaluator(store, use_planner=False).evaluate(query))
+        assert vectorized == reference
 
     @pytest.mark.parametrize("query_text", QUERIES)
     def test_cold_mmap_store(self, query_text, tmp_path):
@@ -84,8 +90,8 @@ class TestVectorizedAgainstScalar:
         cold = TripleStore.open(tmp_path / "store.snap")
         query = parse_query(query_text)
         vectorized = _multiset(QueryEvaluator(cold).evaluate(query))
-        scalar = _multiset(QueryEvaluator(store, use_vectorized=False).evaluate(query))
-        assert vectorized == scalar
+        reference = _multiset(QueryEvaluator(store, use_planner=False).evaluate(query))
+        assert vectorized == reference
 
     @pytest.mark.parametrize("shards", [1, 2, 8])
     @pytest.mark.parametrize("query_text", QUERIES)
@@ -95,10 +101,21 @@ class TestVectorizedAgainstScalar:
         reference = TripleStore(triples=triples)
         query = parse_query(query_text)
         vectorized = _multiset(ShardedQueryEvaluator(sharded).evaluate(query))
-        scalar = _multiset(
-            QueryEvaluator(reference, use_vectorized=False).evaluate(query)
-        )
-        assert vectorized == scalar
+        expected = _multiset(QueryEvaluator(reference, use_planner=False).evaluate(query))
+        assert vectorized == expected
+
+
+class TestPerRowPath:
+    @pytest.mark.parametrize("query_text", QUERIES)
+    def test_no_numpy_planned_matches_reference(self, query_text, monkeypatch):
+        # Without NumPy every planned step, root groups included, runs the
+        # per-row probe; the result must still equal the unplanned oracle.
+        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        store = chain_store()
+        query = parse_query(query_text)
+        planned = _multiset(QueryEvaluator(store).evaluate(query))
+        reference = _multiset(QueryEvaluator(store, use_planner=False).evaluate(query))
+        assert planned == reference
 
 
 class TestEngagementAndFallback:
@@ -122,19 +139,15 @@ class TestEngagementAndFallback:
         plan = plan_bgp(store, patterns)
         assert kernels._vectorizable_prefix(plan.steps) == 0
 
-    def test_use_vectorized_flag_disables_kernels(self):
-        evaluator = QueryEvaluator(chain_store(), use_vectorized=False)
-        assert evaluator._use_vectorized is False
-
     def test_no_numpy_env_disables_kernels(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_NUMPY", "1")
         assert not kernels.kernels_available()
         store = chain_store()
         evaluator = QueryEvaluator(store)
-        assert evaluator._use_vectorized is False
+        assert evaluator._use_kernels is False
         query = parse_query(QUERIES[0])
-        scalar = _multiset(QueryEvaluator(store, use_vectorized=False).evaluate(query))
-        assert _multiset(evaluator.evaluate(query)) == scalar
+        reference = _multiset(QueryEvaluator(store, use_planner=False).evaluate(query))
+        assert _multiset(evaluator.evaluate(query)) == reference
 
     def test_plan_records_build_estimates(self):
         store = chain_store()
@@ -154,7 +167,7 @@ class TestStreamingShortCircuit:
             "ASK { ?a <http://vec.test/p0> ?b . ?b <http://vec.test/p1> ?c }"
         )
         assert bool(QueryEvaluator(store).evaluate(query))
-        assert bool(QueryEvaluator(store, use_vectorized=False).evaluate(query))
+        assert bool(QueryEvaluator(store, use_planner=False).evaluate(query))
 
     def test_limit_pages_are_subsets(self):
         store = chain_store(2000)
@@ -164,7 +177,7 @@ class TestStreamingShortCircuit:
         paged = parse_query(
             "SELECT * WHERE { ?a <http://vec.test/p0> ?b . ?b <http://vec.test/p1> ?c } LIMIT 5"
         )
-        universe = _multiset(QueryEvaluator(store, use_vectorized=False).evaluate(full))
+        universe = _multiset(QueryEvaluator(store, use_planner=False).evaluate(full))
         page = _multiset(QueryEvaluator(store).evaluate(paged))
         assert sum(page.values()) == min(5, sum(universe.values()))
         for row, count in page.items():
