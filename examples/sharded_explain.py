@@ -1,4 +1,4 @@
-"""Sharded query plans: shards probed vs pruned, scatter vs global gather.
+"""Sharded query plans: shards probed vs pruned, scatter, ship or global.
 
 Builds the YAGO-like KB over a 4-shard :class:`ShardedTripleStore` and
 prints ``ShardedQueryEvaluator.explain`` output for the query shapes the
@@ -8,10 +8,11 @@ aligner issues:
   the planned operator pipeline runs per shard and the streams chain;
 * the same star with a ``VALUES`` clause — routing narrows to the shards
   owning the listed subjects, the rest are pruned before any scan;
-* a cross-subject chain join — evaluated on the *global* merged view,
-  where sorted per-shard runs concatenate into the merge-join input;
-* a pattern over a predicate only one shard contains — count pruning
-  eliminates the empty shards per pattern.
+* a cross-subject chain join — *shipped*: the pattern anchored on one
+  subject variable runs per shard and the other pattern's matches are
+  broadcast to every routed shard as a hash table;
+* a constant-subject probe — evaluated on the *global* merged view, where
+  the subject routes it to its owning shard.
 
 Run with::
 
@@ -74,7 +75,7 @@ def main() -> None:
     )
     show(
         evaluator,
-        "chain join: global gather over the merged shard view",
+        "chain join: shipped, one side broadcast to the routed shards",
         f"SELECT ?s ?x ?p WHERE {{ ?s <{relation.value}> ?x . "
         f"?x ?p ?s }}",
     )

@@ -106,9 +106,5 @@ class AlignmentError(ReproError):
     """Relation alignment could not be performed."""
 
 
-class EvaluationError(ReproError):
-    """Evaluation harness misuse (e.g. missing gold standard entries)."""
-
-
 class SyntheticDataError(ReproError):
     """Synthetic dataset generation received inconsistent parameters."""

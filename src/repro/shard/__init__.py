@@ -35,16 +35,17 @@ Three pieces, bottom to top:
 
 3. **Scatter/gather execution** (:mod:`repro.sparql.scatter`, layered in
    the SPARQL package because it drives the planner's physical
-   operators).  ``ShardedQueryEvaluator`` evaluates *co-partitioned*
-   groups — every triple pattern, recursively, shares one subject
-   variable, the star shape the aligner's batched queries take — by
-   running the full planned merge/hash/nested pipeline per shard and
-   lazily chaining the per-shard streams, so ASK and LIMIT short-circuit
-   without touching trailing shards.  Everything else falls back to the
-   global merged view: :class:`ShardedTripleStore` exposes the whole
-   ID-level store API by routing subject-bound lookups to one shard and
-   gathering the rest (summed counts, unioned distinct sets, and
-   concatenated sorted runs that feed the existing merge-join machinery
+   operators).  ``ShardedQueryEvaluator`` runs one distributed plan per
+   shard: for *co-partitioned* groups — every triple pattern,
+   recursively, shares one subject variable, the star shape the
+   aligner's batched queries take — the full planned pipeline; for
+   join-shipped chains the anchored patterns plus a probe of broadcast
+   tables.  The per-shard streams chain lazily, so ASK and LIMIT
+   short-circuit without touching trailing shards.  Everything else
+   falls back to the global merged view: :class:`ShardedTripleStore`
+   exposes the whole ID-level store API by routing subject-bound lookups
+   to one shard and gathering the rest (summed counts, unioned distinct
+   sets, and concatenated sorted columns that feed the block kernels
    directly), so *any* query stays correct on the fallback path.
 
 The gather merge in one picture::

@@ -69,11 +69,6 @@ class ShardRouter:
         """Every shard index, in range order."""
         return tuple(range(self._store.num_shards))
 
-    def shards_for_subjects(self, subject_ids: Sequence[int]) -> Tuple[int, ...]:
-        """The (sorted, distinct) shards owning the given subject IDs."""
-        index_for = self._store.shard_index_for_subject
-        return tuple(sorted({index_for(sid) for sid in subject_ids}))
-
     def route_pattern(
         self, pattern: IdPattern, candidates: Optional[Sequence[int]] = None
     ) -> PatternRoute:

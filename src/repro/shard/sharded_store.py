@@ -15,8 +15,8 @@ Partitioning invariants (everything above relies on these):
 * **Ranges are contiguous and increasing.**  Shard 0 owns the smallest
   subject IDs, the last shard owns an open-ended top range.  Chaining
   per-shard subject runs in shard order therefore yields a globally
-  sorted run — the block kernels' merge semi-join concatenates per-shard
-  runs without a heap.
+  sorted run — the block kernels concatenate per-shard columns without
+  a heap.
 * **Subjects are disjoint across shards.**  Distinct-subject counts and
   per-shard statistics sum exactly; only predicate/object distinct
   counts need cross-shard set unions.

@@ -14,9 +14,8 @@ parent's and binding batches can travel as plain integers.
 Protocol (one task queue and one result queue per worker, plus a control
 queue):
 
-* parent → worker: ``("eval", task_id, shard_index, work, initial,
-  fold, project, distinct, trace_ts)`` — evaluate ``work`` (a pickled
-  :class:`~repro.sparql.ast.GroupGraphPattern` or
+* parent → worker: ``("eval", task_id, shard_index, plan, initial,
+  fold, project, distinct, trace_ts)`` — run ``plan`` (a pickled
   :class:`~repro.sparql.distjoin.ShipPlan`) against the shard's local
   evaluator.  With a ``fold`` spec the worker reduces its stream to one
   partial aggregate message; otherwise it streams solution batches,
@@ -107,7 +106,7 @@ _POLL_INTERVAL = 0.05
 #: Task ID used by workers for task-independent fatal reports.
 _FATAL_ID = -1
 
-#: Worker-side cache of unpickled group ASTs, keyed by payload bytes —
+#: Worker-side cache of unpickled plans, keyed by payload bytes —
 #: wave workloads re-issue the same query shapes, and the local plan
 #: cache already hits on structurally equal groups.
 _GROUP_CACHE_LIMIT = 512
@@ -281,7 +280,7 @@ def shard_worker_main(
     Module-level (not a closure) so it is importable under the ``spawn``
     and ``forkserver`` start methods.
     """
-    from repro.sparql.distjoin import ShipPlan, execute_ship_plan
+    from repro.sparql.distjoin import execute_ship_plan
     from repro.sparql.evaluate import QueryEvaluator
     from repro.sparql.fold import fold_local
     from repro.store.persist import open_shard_stores
@@ -350,7 +349,7 @@ def shard_worker_main(
                  f"unknown task kind {kind!r}", "", None)
             )
             continue
-        (_, _, shard_index, work_bytes, initial_payload, fold_bytes, project,
+        (_, _, shard_index, plan_bytes, initial_payload, fold_bytes, project,
          distinct, trace_ts) = message
         if task_id in cancelled:
             result_queue.put((task_id, "done", 0, True, None))
@@ -381,14 +380,11 @@ def shard_worker_main(
             return span.to_dict()
 
         try:
-            work = cached_payload(work_bytes)
+            plan = cached_payload(plan_bytes)
             evaluator = evaluators[shard_index]
             memo: Dict[str, Variable] = {}
             initial = decode_binding(initial_payload, memo)
-            if isinstance(work, ShipPlan):
-                solutions = execute_ship_plan(evaluator, work, initial)
-            else:
-                solutions = evaluator._evaluate_group(work, initial)
+            solutions = execute_ship_plan(evaluator, plan, initial)
 
             if fold_bytes is not None:
                 # Aggregate pushdown: reduce the whole stream to one
@@ -974,7 +970,7 @@ class ProcessShardExecutor:
     def _dispatch_eval(
         self,
         shard_indices: Sequence[int],
-        work,
+        plan,
         initial: Optional[IdBinding],
         fold_spec,
         project: Optional[Sequence[str]],
@@ -983,15 +979,15 @@ class ProcessShardExecutor:
     ) -> List[_TaskStream]:
         """Fan one eval payload out to every routed shard's worker.
 
-        The work object (group AST or ship plan — broadcast tables
-        included) and the fold spec are each pickled once per query, not
-        once per shard task; workers memoise the unpickled objects per
-        payload bytes.  With ``traced`` each task carries the dispatch
-        monotonic timestamp so workers can measure queue wait and ship a
-        ``worker:exec`` span back on their terminal message.
+        The plan (broadcast tables included) and the fold spec are each
+        pickled once per query, not once per shard task; workers memoise
+        the unpickled objects per payload bytes.  With ``traced`` each
+        task carries the dispatch monotonic timestamp so workers can
+        measure queue wait and ship a ``worker:exec`` span back on their
+        terminal message.
         """
         payload = encode_binding(initial if initial is not None else IdBinding.EMPTY)
-        work_bytes = pickle.dumps(work, protocol=pickle.HIGHEST_PROTOCOL)
+        plan_bytes = pickle.dumps(plan, protocol=pickle.HIGHEST_PROTOCOL)
         fold_bytes = (
             None
             if fold_spec is None
@@ -1004,7 +1000,7 @@ class ProcessShardExecutor:
                 trace_ts = time.monotonic() if traced else None
                 streams.append(
                     self._dispatch(
-                        shard_index, "eval", work_bytes, payload,
+                        shard_index, "eval", plan_bytes, payload,
                         fold_bytes, project_names, bool(distinct), trace_ts,
                     )
                 )
@@ -1044,13 +1040,13 @@ class ProcessShardExecutor:
     def run_group(
         self,
         shard_indices: Sequence[int],
-        work,
+        plan,
         initial: Optional[IdBinding] = None,
         project: Optional[Sequence[str]] = None,
         distinct: bool = False,
         trace_parent=None,
     ) -> Iterator[IdBinding]:
-        """Scatter one group (or ship plan) over its shards' workers.
+        """Run one distributed plan over its shards' workers.
 
         All per-shard tasks are dispatched up front (a single query fans
         out over the pool and the per-shard pipelines run genuinely in
@@ -1073,7 +1069,7 @@ class ProcessShardExecutor:
         """
         traced = trace_parent is not None or recorder().active
         streams = self._dispatch_eval(
-            shard_indices, work, initial, None, project, distinct,
+            shard_indices, plan, initial, None, project, distinct,
             traced=traced,
         )
         span = self._merge_span(streams, trace_parent) if traced else None
@@ -1082,7 +1078,7 @@ class ProcessShardExecutor:
     def run_fold(
         self,
         shard_indices: Sequence[int],
-        work,
+        plan,
         fold_spec,
         initial: Optional[IdBinding] = None,
         trace_parent=None,
@@ -1098,7 +1094,7 @@ class ProcessShardExecutor:
 
         traced = trace_parent is not None or recorder().active
         streams = self._dispatch_eval(
-            shard_indices, work, initial, fold_spec, None, False,
+            shard_indices, plan, initial, fold_spec, None, False,
             traced=traced,
         )
         span = self._merge_span(streams, trace_parent) if traced else None

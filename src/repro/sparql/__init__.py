@@ -15,7 +15,7 @@ The engine has four stages: the :mod:`lexer <repro.sparql.lexer>` produces
 tokens, the :mod:`parser <repro.sparql.parser>` builds an AST
 (:mod:`repro.sparql.ast`), the :mod:`planner <repro.sparql.plan>` orders
 each basic graph pattern by estimated cardinality and assigns physical
-join operators (index scan, sort-merge join, hash join, nested lookup),
+join operators (index scan, hash join, nested lookup),
 and the :mod:`evaluator <repro.sparql.evaluate>` streams the planned
 operator pipeline against a :class:`~repro.store.TripleStore`, producing
 a :class:`~repro.sparql.results.ResultSet`.

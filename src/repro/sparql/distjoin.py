@@ -1,25 +1,28 @@
-"""Cross-shard join shipping: broadcast hash joins for non-co-partitioned BGPs.
+"""Distributed plans: scatter an anchor per shard, probe broadcast tables.
 
-The scatter layer can only run a group per shard when every top-level
-pattern shares one *subject* variable (subject-range partitioning makes
-such groups co-partitioned).  Everything else used to fall back to the
-single-threaded merged view.  This module removes that fallback for the
-common 2–3 pattern shapes — s–o chains and small star/chain mixes — with
-a parent-coordinated **distributed hash join**:
+A :class:`ShipPlan` is the only plan the scatter layer
+(:mod:`repro.sparql.scatter`) runs per shard.  It names a *partition
+variable* ``?v`` in subject position and an *anchor* sub-group whose
+every solution binds ``?v`` to one subject ID; subject-range
+partitioning puts all of that subject's triples on its home shard, so
+running the anchor per shard is exact and disjoint across shards.
 
-1. Pick a *partition variable* ``?v`` that appears in subject position.
-   The patterns anchored on ``?v`` (subject == ``?v``) form a
-   co-partitioned sub-group: their join results for a given subject ID
-   live entirely on that subject's home shard, so scattering the anchor
-   is exact and disjoint across shards.
-2. Every remaining pattern's **full global match set** is materialised
-   once in the parent as parallel int64 ID columns (the PR 6 kernel
-   column builder when numpy is available, a pure-Python twin otherwise)
-   and broadcast to the workers inside the (cached, pickled-once) plan.
-3. Each worker evaluates the anchor locally and probes the broadcast
-   tables with a hash join — the classic broadcast join: correct because
-   ``scatter(anchor) ⋈ tables`` over disjoint anchor partitions equals
-   the full join, multiset-exact.
+* A *co-partitioned* group (one subject variable throughout) is its own
+  anchor and broadcasts nothing: ``ShipPlan(?v, group, (), ())``.
+* A pure-BGP group that is not co-partitioned (the classic s–o chain,
+  small star/chain mixes) is a parent-coordinated **distributed hash
+  join**, built by :func:`build_ship_plan`:
+
+  1. The patterns anchored on ``?v`` (subject == ``?v``) form the
+     anchor.
+  2. Every remaining pattern's **full global match set** is materialised
+     once in the parent as parallel int64 ID columns (the kernel column
+     builder when numpy is available, a pure-Python twin otherwise) and
+     broadcast to the workers inside the (cached, pickled-once) plan.
+  3. Each worker evaluates the anchor locally and probes the broadcast
+     tables with a hash join — the classic broadcast join: correct
+     because ``scatter(anchor) ⋈ tables`` over disjoint anchor partitions
+     equals the full join, multiset-exact.
 
 Shipping only engages when the broadcast side is small: the candidate
 with the cheapest total broadcast rows wins, and a candidate above
@@ -123,8 +126,9 @@ def _encode_column(values) -> bytes:
 
 
 class ShipPlan:
-    """A complete cross-shard join plan: scatter the anchor, probe the rest.
+    """A distributed plan: scatter the anchor, probe the broadcast tables.
 
+    ``tables`` and ``shipped`` are empty for a co-partitioned group.
     Picklable and immutable once built; the executor pickles it once per
     query and workers cache the unpickled instance, so broadcast columns
     cross each worker's queue exactly once.
@@ -208,8 +212,8 @@ def build_ship_plan(
         anchored = [p for p in patterns if p.subject == candidate]
         rest = [p for p in patterns if p.subject != candidate]
         if not rest:
-            # Fully co-partitioned on this candidate; the plain scatter
-            # path owns that case, shipping would only add overhead.
+            # Fully co-partitioned on this candidate: the scatter layer
+            # plans it with nothing to broadcast before asking here.
             continue
         ordered = _order_connected(anchored, rest)
         if ordered is None:
@@ -315,7 +319,7 @@ def _pattern_table(store, consts, var_count: int) -> Tuple[int, Tuple[bytes, ...
 def execute_ship_plan(
     evaluator, plan: ShipPlan, initial: IdBinding
 ) -> Iterator[IdBinding]:
-    """Run a ship plan against one shard's local evaluator.
+    """Run a distributed plan against one shard's local evaluator.
 
     The anchor sub-group streams through the normal (vectorized when
     possible) local pipeline; each broadcast table is then probed with a

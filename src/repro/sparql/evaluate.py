@@ -17,13 +17,13 @@ Each basic graph pattern goes through :func:`repro.sparql.plan.plan_bgp`:
 a greedy planner estimates per-pattern cardinalities from the store's
 index bookkeeping, orders patterns by estimated output size given the
 variables already bound, and labels every step with a physical operator
-(``scan`` / ``merge`` / ``hash`` / ``nested``).  The evaluator runs a plan
+(``scan`` / ``hash`` / ``nested``).  The evaluator runs a plan
 one of two ways:
 
 * a *root* group (empty input binding, no VALUES) runs through the numpy
   block kernels (:mod:`repro.sparql.kernels`), which map the labels onto
-  block scans, ``searchsorted`` semi-joins, probe joins and cross
-  products, and hand any non-vectorizable suffix to :meth:`_join_pattern`;
+  block scans, probe joins and cross products, and hand any
+  non-vectorizable suffix to :meth:`_join_pattern`;
 * every other planned step — bound-input groups (OPTIONAL / EXISTS /
   UNION branches, VALUES-fed groups), plans whose first scan does not
   vectorize, and everything when numpy is missing or ``REPRO_NO_NUMPY``
@@ -496,7 +496,7 @@ class QueryEvaluator:
             if self._use_planner:
                 bound = set(initial)
                 bound |= self._values_bound(values_nodes)
-                plan = self._plan_for(group, patterns, bound, not values_nodes)
+                plan = self._plan_for(group, patterns, bound)
                 # Kernel engagement and stage spans are only recorded for
                 # root evaluations (empty input binding): OPTIONAL /
                 # EXISTS probes re-enter here once per solution, where
@@ -559,7 +559,6 @@ class QueryEvaluator:
         group: GroupGraphPattern,
         patterns: List[TriplePatternNode],
         bound: set,
-        single_input: bool,
     ) -> BGPPlan:
         """Plan (or fetch the cached plan for) one group's BGP.
 
@@ -571,16 +570,14 @@ class QueryEvaluator:
         evaluate the same group under different bindings.
         """
         context = plan_context(self.store)
-        key = (group, frozenset(bound), single_input)
+        key = (group, frozenset(bound))
         plan = context.plans.get(key)
         if plan is None:
             self._metrics.increment("plan.cache_miss")
             if len(context.plans) >= PLAN_CACHE_LIMIT:
                 context.plans.clear()
             with self._tracer.span("plan", patterns=len(patterns)):
-                plan = plan_bgp(
-                    self.store, patterns, bound, single_input, context.estimator
-                )
+                plan = plan_bgp(self.store, patterns, bound, context.estimator)
             for step in plan.steps:
                 self._metrics.increment("plan.op." + step.operator)
             context.plans[key] = plan
@@ -600,7 +597,7 @@ class QueryEvaluator:
         values_nodes = [e for e in group.elements if isinstance(e, ValuesNode)]
         patterns = [e for e in group.elements if isinstance(e, TriplePatternNode)]
         bound = self._values_bound(values_nodes)
-        return self._plan_for(group, patterns, bound, not values_nodes)
+        return self._plan_for(group, patterns, bound)
 
     @staticmethod
     def _values_bound(values_nodes: List[ValuesNode]) -> set:

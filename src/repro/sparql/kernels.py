@@ -12,8 +12,6 @@ operations over the very same CSR columns the indexes already keep:
   patterns, :meth:`~repro.store.index.FrozenIdIndex.key_columns` for
   one-constant, the full five-column CSR for zero-constant), then streams
   out in bounded blocks.
-* **Merge** — a ``merge`` step's semi-join is one ``np.searchsorted``
-  probe of the block's join column against the pattern's sorted run.
 * **Probe** — ``hash`` steps on a single shared variable (and ``nested``
   steps cheap enough to build) run as a sorted-build + ``searchsorted``
   range expansion: the classic ``repeat``/``cumsum`` gather that emits
@@ -49,7 +47,6 @@ from repro.sparql.ast import TriplePatternNode
 from repro.sparql.bindings import IdBinding, Variable
 from repro.sparql.plan import (
     HASH,
-    MERGE,
     NESTED,
     SCAN,
     BGPPlan,
@@ -196,22 +193,6 @@ def _expand_key(seconds, bounds, thirds):
     return _np.repeat(seconds, _np.diff(bounds)), thirds
 
 
-def _pattern_run(store, consts):
-    """A two-constant pattern's sorted third-level run as one array."""
-    shards = getattr(store, "shards", None)
-    if shards is None:
-        return _as_array(store.sorted_run_ids(*consts))
-    parts = [_as_array(shard.sorted_run_ids(*consts)) for shard in shards]
-    parts = [part for part in parts if part.size]
-    if not parts:
-        return _np.empty(0, dtype=_np.int64)
-    if len(parts) == 1:
-        return parts[0]
-    # Subject-range sharding keeps subject runs globally sorted across the
-    # shard order; patterns with a constant subject live in one shard.
-    return _np.concatenate(parts)
-
-
 def _pattern_variables(pattern: TriplePatternNode) -> Tuple[Variable, ...]:
     """The pattern's variables in s, p, o position order (with repeats)."""
     return tuple(
@@ -237,23 +218,6 @@ def _scan_blocks(store, pattern, consts) -> Iterator[Tuple]:
     for start in range(0, n, BLOCK_ROWS):
         stop = min(n, start + BLOCK_ROWS)
         yield variables, [col[start:stop] for col in cols], stop - start
-
-
-def _merge_blocks(blocks, run, variable) -> Iterator[Tuple]:
-    """Semi-join each block against a sorted run on ``variable``."""
-    if not run.size:
-        return
-    for variables, cols, n in blocks:
-        probe = cols[variables.index(variable)]
-        pos = _np.searchsorted(run, probe)
-        hits = run[_np.minimum(pos, run.size - 1)] == probe
-        kept = int(_np.count_nonzero(hits))
-        if not kept:
-            continue
-        if kept == n:
-            yield variables, cols, n
-        else:
-            yield variables, [col[hits] for col in cols], kept
 
 
 def _probe_blocks(blocks, build_vars, build_cols, join_variable) -> Iterator[Tuple]:
@@ -321,10 +285,10 @@ def _vectorizable_prefix(steps: Tuple[PlanStep, ...]) -> int:
 
     A step qualifies structurally: no repeated variables inside the
     pattern (the columns carry no within-row equality check), and the
-    operator must map onto a kernel — ``merge`` always does, ``hash``
-    needs at most one join variable, ``nested`` exactly one plus a build
-    side the estimates call affordable.  Suffix steps run through the
-    evaluator's per-solution probe.
+    operator must map onto a kernel — ``hash`` needs at most one join
+    variable, ``nested`` exactly one plus a build side the estimates
+    call affordable.  Suffix steps run through the evaluator's
+    per-solution probe.
     """
     prefix = 0
     for index, step in enumerate(steps):
@@ -335,9 +299,6 @@ def _vectorizable_prefix(steps: Tuple[PlanStep, ...]) -> int:
             if step.operator != SCAN:
                 break
             prefix = 1
-            continue
-        if step.operator == MERGE:
-            prefix = index + 1
             continue
         if step.operator == HASH:
             if len(step.join_variables) > 1:
@@ -385,9 +346,7 @@ def _execute(evaluator, steps, prefix) -> Iterator[IdBinding]:
         consts = resolve_pattern_ids(store.dictionary, step.pattern)
         if consts is None:
             return
-        if step.operator == MERGE:
-            blocks = _merge_blocks(blocks, _pattern_run(store, consts), step.merge_variable)
-        elif step.join_variables:
+        if step.join_variables:
             build_n, build_cols = pattern_columns(store, consts)
             if not build_n:
                 return

@@ -23,10 +23,6 @@ which physical join operator the evaluator should run:
    physical operator the evaluator should use:
 
    * ``scan`` — the first pattern: stream matches straight off an index.
-   * ``merge`` — a sort-merge semi-join against the sorted third-level
-     run of a two-constant pattern, when the solution stream is known to
-     be nondecreasing on the pattern's single variable (the first scan
-     establishes this order; left-streaming joins preserve it).
    * ``hash`` — build a hash table over the pattern's matches (the
      smaller estimated side), probe with the streamed solutions.  Also
      used for disconnected patterns so a Cartesian product scans the
@@ -41,8 +37,8 @@ which physical join operator the evaluator should run:
 Plans are plain data (:class:`BGPPlan` / :class:`PlanStep`), so tests and
 diagnostics can inspect the chosen order and operators without running
 the query.  Planning never affects correctness — operators are chosen
-only from structural facts (shared variables, constant positions,
-sortedness) — so a stale estimate can cost time but not answers.
+only from structural facts (shared variables) and estimates — so a stale
+estimate can cost time but not answers.
 """
 
 from __future__ import annotations
@@ -57,7 +53,6 @@ from repro.store.triplestore import TripleStore
 
 #: Physical operator labels used in :class:`PlanStep`.
 SCAN = "scan"
-MERGE = "merge"
 HASH = "hash"
 NESTED = "nested"
 
@@ -196,7 +191,6 @@ class PlanStep:
     operator: str
     estimate: float
     join_variables: Tuple[Variable, ...] = ()
-    merge_variable: Optional[Variable] = None
     #: The pattern's standalone match estimate (no bound variables) — what a
     #: hash/scan build of this pattern alone would materialise.  The
     #: vectorized kernels use it to decide whether upgrading a ``nested``
@@ -235,18 +229,10 @@ class BGPPlan:
         return "\n".join(step.describe() for step in self.steps)
 
 
-def _constant_count(pattern: TriplePatternNode) -> int:
-    return sum(
-        0 if isinstance(term, Variable) else 1
-        for term in (pattern.subject, pattern.predicate, pattern.object)
-    )
-
-
 def plan_bgp(
     store: TripleStore,
     patterns: Sequence[TriplePatternNode],
     bound: Iterable[Variable] = (),
-    single_input: bool = True,
     estimator: Optional[CardinalityEstimator] = None,
 ) -> BGPPlan:
     """Plan a basic graph pattern: order patterns and pick join operators.
@@ -258,18 +244,12 @@ def plan_bgp(
     bound:
         Variables already bound before the BGP runs (initial binding of a
         nested group / EXISTS, or VALUES rows).
-    single_input:
-        Whether the BGP starts from exactly one input solution.  Only then
-        can the first scan establish a global sort order that merge joins
-        may rely on (VALUES rows fan the input out, so blocks of sorted
-        output would interleave).
     """
     estimator = estimator if estimator is not None else CardinalityEstimator(store)
     bound_now: Set[Variable] = set(bound)
     remaining: List[Tuple[int, TriplePatternNode]] = list(enumerate(patterns))
     steps: List[PlanStep] = []
     cardinality = 1.0
-    sorted_by: Optional[Variable] = None
 
     while remaining:
         best = None
@@ -286,19 +266,10 @@ def plan_bgp(
 
         pattern_vars = set(pattern.variables())
         shared = tuple(sorted(pattern_vars & bound_now, key=lambda v: v.name))
-        two_consts = _constant_count(pattern) == 2
-        merge_variable: Optional[Variable] = None
         build_estimate = estimator.pattern_estimate(pattern, set())
 
         if not steps:
             operator = SCAN
-            if single_input and two_consts and len(pattern_vars) == 1 and not shared:
-                # The scan streams the pattern's sorted third-level run, so
-                # the whole solution stream is nondecreasing on this var.
-                sorted_by = next(iter(pattern_vars))
-        elif sorted_by is not None and two_consts and pattern_vars == {sorted_by}:
-            operator = MERGE
-            merge_variable = sorted_by
         elif shared:
             operator = HASH if build_estimate < cardinality else NESTED
         else:
@@ -313,7 +284,6 @@ def plan_bgp(
                 operator=operator,
                 estimate=cardinality,
                 join_variables=shared,
-                merge_variable=merge_variable,
                 build_estimate=build_estimate,
             )
         )

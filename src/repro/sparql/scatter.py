@@ -1,50 +1,53 @@
 """Scatter/gather query evaluation over a sharded triple store.
 
-:class:`ShardedQueryEvaluator` extends :class:`QueryEvaluator` with two
-execution strategies and picks per group, by *structure alone* (so the
-choice can cost time, never answers):
+:class:`ShardedQueryEvaluator` extends :class:`QueryEvaluator` with one
+distributed plan, a :class:`~repro.sparql.distjoin.ShipPlan`, chosen
+per group by *structure alone* (so the choice can cost time, never
+answers).  A plan names a partition variable, an *anchor* sub-group
+whose every solution binds that variable to one subject ID — subject
+range partitioning puts all triples of that subject in one shard, so
+the anchor runs per shard against that shard's local evaluator — and
+the broadcast tables probed after it:
 
-**Scatter** — for *co-partitioned* groups: every triple pattern,
-recursively through OPTIONAL / UNION / nested groups / FILTER EXISTS,
-has the same variable in subject position (the star shape of the
-aligner's batched ``VALUES ?s {...} ?s ?p ?o`` probes).  Any solution
-then binds that variable to one subject ID, and subject-range
-partitioning puts *all* triples of that subject in one shard — so the
-whole planned pipeline runs per shard against that shard's local
-evaluator and the per-shard streams are chained lazily.
-ASK and LIMIT short-circuit across shards: trailing shards are never
-evaluated once the consumer stops.  The :class:`ShardRouter` prunes
-shards first — by the owning shard when the subject is bound (initial
-binding or all-constant VALUES rows) and by per-shard pattern counts
-(a shard where any required pattern matches zero triples contributes
-nothing).
+* **scatter** — a *co-partitioned* group: every triple pattern,
+  recursively through OPTIONAL / UNION / nested groups / FILTER EXISTS,
+  has the same variable in subject position (the star shape of the
+  aligner's batched ``VALUES ?s {...} ?s ?p ?o`` probes).  The whole
+  group is the anchor and nothing is broadcast.
+* **ship** — a pure-BGP group that is *not* co-partitioned (the classic
+  s–o chain) but where some subject-position variable anchors part of
+  it: the remaining patterns' full match sets are broadcast to every
+  routed shard as columnar ID tables and probed there with a hash join
+  (see :mod:`repro.sparql.distjoin`).  Shipping engages only when the
+  broadcast side stays under ``REPRO_BROADCAST_LIMIT``; otherwise the
+  group falls back.
 
-**Join shipping** — a pure-BGP group that is *not* co-partitioned (the
-classic s–o chain) can still run sharded when some subject-position
-variable anchors part of it: the anchored patterns scatter as usual and
-the remaining patterns' full match sets are broadcast to every routed
-shard as columnar ID tables, probed there with a hash join (see
-:mod:`repro.sparql.distjoin`).  Shipping engages only when the broadcast
-side stays under ``REPRO_RESULT_WINDOW``'s sibling knob
-``REPRO_BROADCAST_LIMIT``; otherwise the group falls back.
+Either way the :class:`ShardRouter` first prunes shards — by the owning
+shard when the partition variable is bound (initial binding or
+all-constant VALUES rows) and by per-shard pattern counts (a shard where
+any required anchor pattern matches zero triples contributes nothing) —
+and the per-shard streams are chained lazily: ASK and LIMIT
+short-circuit, so trailing shards are never evaluated once the consumer
+stops.  The process backend sends the same plan to the shard workers.
 
-**Global gather** — everything else runs the inherited evaluator against
-the :class:`ShardedTripleStore` itself, whose ID-level API merges the
-shards: subject-bound lookups route, counts sum and unbound-subject
-scans chain the shards in range order.  The block kernels concatenate
-per-shard columns (subject-range partitioning keeps subject runs
-globally sorted); per-solution probes go through the merged
+**Global gather** — every group without a plan runs the inherited
+evaluator against the :class:`ShardedTripleStore` itself, whose ID-level
+API merges the shards: subject-bound lookups route, counts sum and
+unbound-subject scans chain the shards in range order.  The block
+kernels concatenate per-shard columns (subject-range partitioning keeps
+subject runs globally sorted); per-solution probes go through the merged
 ``match_ids``.  This path is correct for arbitrary queries
 (cross-subject chains, FILTER NOT EXISTS, ...).
 
-On top of the per-group strategy, COUNT-only aggregate queries over a
-scattered or shipped group push the *fold* down to the shards: each
-shard reduces its stream to a small partial (see
-:mod:`repro.sparql.fold`) and the parent merges O(shards) partials
-instead of streaming O(solutions) rows.  Non-aggregate projections over
-process-backed scatters push the projection down instead, so workers
-ship only the projected columns (deduplicated shard-locally under
-DISTINCT).
+On top of the per-group plan, COUNT-only aggregate queries over a
+planned group push the *fold* down to the shards: each shard reduces
+its stream to a small partial (see :mod:`repro.sparql.fold`) and the
+parent merges O(shards) partials instead of streaming O(solutions)
+rows.  Single-pattern COUNTs are answered before that from parent-side
+index counts (``fast-count``), without sending work to any shard.
+Non-aggregate projections over process-backed plans push the projection
+down instead, so workers ship only the projected columns (deduplicated
+shard-locally under DISTINCT).
 
 :meth:`ShardedQueryEvaluator.explain` returns a :class:`ShardedBGPPlan`
 wrapping the ordinary :class:`BGPPlan` with the chosen mode, per planned
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.errors import StoreError
 from repro.obs import trace as obs_trace
@@ -82,14 +85,10 @@ from repro.sparql.ast import (
 from repro.sparql.bindings import IdBinding, Variable
 from repro.sparql.distjoin import ShipPlan, build_ship_plan, execute_ship_plan
 from repro.sparql.evaluate import QueryEvaluator
-from repro.sparql.fold import FoldSpec, build_fold_spec, finalize, fold_local, merge_partial
+from repro.sparql.fold import build_fold_spec, finalize, fold_local
 from repro.sparql.parser import parse_query
 from repro.sparql.plan import BGPPlan, PLAN_CACHE_LIMIT, resolve_pattern_ids
 from repro.sparql.results import ResultSet
-
-#: Cache sentinel: the group was analysed and is not co-partitioned.
-_NOT_CO_PARTITIONED = object()
-
 
 def co_partition_subject(group: GroupGraphPattern) -> Optional[Variable]:
     """The single subject variable shared by every pattern of ``group``.
@@ -308,7 +307,7 @@ class ShardedQueryEvaluator(QueryEvaluator):
 
     Inherits the full planned-operator machinery from
     :class:`QueryEvaluator` (running it against the merged shard view)
-    and adds the per-shard scatter path for co-partitioned groups.
+    and adds the per-shard path for groups with a distributed plan.
 
     Parameters
     ----------
@@ -317,14 +316,14 @@ class ShardedQueryEvaluator(QueryEvaluator):
     use_planner:
         Forwarded to the per-shard and merged-view evaluators.
     backend:
-        ``"thread"`` (default) evaluates scattered groups in-process
+        ``"thread"`` (default) runs distributed plans in-process
         against per-shard local evaluators, lazily chained — waves get
         their concurrency from the scheduler's thread pool.
-        ``"process"`` ships each scattered group to the shard's worker
-        process through ``executor`` and streams the serialized binding
+        ``"process"`` sends each plan to the routed shards' worker
+        processes through ``executor`` and streams the serialized binding
         batches back, lifting the per-shard pipelines out of this
-        interpreter's GIL; the global fallback path (non-co-partitioned
-        groups) still runs in-process against the merged view.
+        interpreter's GIL; the global fallback path (groups without a
+        plan) still runs in-process against the merged view.
     executor:
         A :class:`~repro.shard.workers.ProcessShardExecutor` serving a
         snapshot of ``store`` (see
@@ -387,8 +386,7 @@ class ShardedQueryEvaluator(QueryEvaluator):
         self._locals = tuple(
             QueryEvaluator(shard, use_planner=use_planner) for shard in store.shards
         )
-        self._scatter_cache: Dict[GroupGraphPattern, object] = {}
-        self._ship_cache: Dict[GroupGraphPattern, Tuple] = {}
+        self._plans: Dict[GroupGraphPattern, Tuple] = {}
         # Endpoints share one evaluator across wave threads, so the
         # armed-pushdown handoff from _evaluate_select to _evaluate_group
         # must be per thread — a shared slot could hand one query's
@@ -421,55 +419,37 @@ class ShardedQueryEvaluator(QueryEvaluator):
     def _fold_pushdown(self, query: SelectQuery) -> Optional[ResultSet]:
         """Aggregate the query with worker-side partial folds, or ``None``.
 
-        Engages when the WHERE group is distributable (scatter or ship)
-        and every projection item is a plain variable or COUNT — the
-        shapes :func:`repro.sparql.fold.build_fold_spec` mirrors exactly.
-        Transfer is one partial per routed shard.
+        Engages when the WHERE group has a distributed plan (scatter or
+        ship) and every projection item is a plain variable or COUNT —
+        the shapes :func:`repro.sparql.fold.build_fold_spec` mirrors
+        exactly.  Transfer is one partial per routed shard.
         """
         self._require_fresh_snapshot()
-        group = query.where
-        ship: Optional[ShipPlan] = None
-        subject = self._scatter_subject(group)
-        if subject is None:
-            ship, _ = self._ship_plan(group)
-            if ship is None:
-                return None
-            partition = ship.partition_variable
-        else:
-            partition = subject
-        spec = build_fold_spec(query, partition)
+        plan, _ = self._distributed_plan(query.where)
+        if plan is None:
+            return None
+        spec = build_fold_spec(query, plan.partition_variable)
         if spec is None:
             return None
         if spec.group_by and (query.limit is not None or query.offset):
             # Which grouped rows survive OFFSET/LIMIT depends on the row
             # order the fold merge does not reproduce; stream instead.
             return None
-        if ship is None:
-            shards = self._route(group, subject, IdBinding.EMPTY)
-            work = group
-        else:
-            shards = self._route_ship(ship, IdBinding.EMPTY)
-            work = ship
+        shards = self._route(plan, IdBinding.EMPTY)
         merged: Dict = {}
         if shards:
             with self._tracer.span(
                 "fold", shards=len(shards), backend=self.backend
             ):
                 if self.backend == "process":
-                    merged = self._executor.run_fold(shards, work, spec)
+                    merged = self._executor.run_fold(shards, plan, spec)
                 else:
-                    for index in shards:
-                        local = self._locals[index]
-                        if ship is None:
-                            solutions = local._evaluate_group(
-                                group, IdBinding.EMPTY
-                            )
-                        else:
-                            solutions = execute_ship_plan(
-                                local, ship, IdBinding.EMPTY
-                            )
-                        partial = fold_local(solutions, spec)
-                        merge_partial(spec, merged, partial)
+                    # Shards are disjoint on the partition variable, so
+                    # one fold over the chained streams equals the merge
+                    # of per-shard partials.
+                    merged = fold_local(
+                        self._chain(plan, IdBinding.EMPTY, shards), spec
+                    )
         return finalize(query, spec, merged, self._dict)
 
     def _stash_projection(self, query: SelectQuery) -> bool:
@@ -537,132 +517,93 @@ class ShardedQueryEvaluator(QueryEvaluator):
         # (empty initial binding) — OPTIONAL / EXISTS probes re-enter here
         # once per solution.
         root_call = not len(initial)
-        subject = self._scatter_subject(group)
-        if subject is None:
-            shipped = self._try_ship(group, initial)
-            if shipped is not None:
-                return shipped
+        plan, _ = self._distributed_plan(group)
+        if plan is None:
             if root_call:
                 self._note_mode("global")
                 self._metrics.increment("scatter.mode.global")
             return super()._evaluate_group(group, initial)
-        shards = self._route(group, subject, initial)
         if root_call:
-            self._note_mode("scatter")
-            self._metrics.increment("scatter.mode.scatter")
+            mode = "ship" if plan.shipped else "scatter"
+            self._note_mode(mode)
+            self._metrics.increment("scatter.mode." + mode)
+        shards = self._route(plan, initial)
         if not shards:
             return iter(())
         span = None
         if root_call and self._tracer.active:
-            span = self._tracer.stream_span(
-                "scatter", shards=len(shards), backend=self.backend
+            shipped = (
+                {"shipped": True, "broadcast_rows": plan.broadcast_rows}
+                if plan.shipped
+                else {}
             )
-        if self.backend == "process":
-            stream = self._executor.run_group(
-                shards, group, initial, trace_parent=span,
-                **self._consume_push(group, initial)
-            )
-        elif len(shards) == 1:
-            stream = self._locals[shards[0]]._evaluate_group(group, initial)
-        else:
-            stream = self._gather(group, initial, shards)
-        if span is not None:
-            stream = obs_trace.count_rows(span, stream)
-        return stream
-
-    def _gather(
-        self,
-        group: GroupGraphPattern,
-        initial: IdBinding,
-        shards: Tuple[int, ...],
-    ) -> Iterator[IdBinding]:
-        """Chain per-shard streams lazily: a satisfied ASK/LIMIT consumer
-        stops before the trailing shards are ever planned or scanned."""
-        for index in shards:
-            yield from self._locals[index]._evaluate_group(group, initial)
-
-    # ------------------------------------------------------------------ #
-    # Join shipping
-    # ------------------------------------------------------------------ #
-    def _try_ship(
-        self, group: GroupGraphPattern, initial: IdBinding
-    ) -> Optional[Iterator[IdBinding]]:
-        """Run ``group`` as a broadcast hash join, or ``None`` to fall back."""
-        plan, _ = self._ship_plan(group)
-        if plan is None:
-            return None
-        root_call = not len(initial)
-        if root_call:
-            self._note_mode("ship")
-            self._metrics.increment("scatter.mode.ship")
-        shards = self._route_ship(plan, initial)
-        if not shards:
-            return iter(())
-        span = None
-        if root_call and self._tracer.active:
             span = self._tracer.stream_span(
-                "scatter",
-                shards=len(shards),
-                backend=self.backend,
-                shipped=True,
-                broadcast_rows=plan.broadcast_rows,
+                "scatter", shards=len(shards), backend=self.backend, **shipped
             )
         if self.backend == "process":
             stream = self._executor.run_group(
                 shards, plan, initial, trace_parent=span,
                 **self._consume_push(group, initial)
             )
-        elif len(shards) == 1:
-            stream = execute_ship_plan(self._locals[shards[0]], plan, initial)
         else:
-            stream = self._ship_gather(plan, initial, shards)
+            stream = self._chain(plan, initial, shards)
         if span is not None:
             stream = obs_trace.count_rows(span, stream)
         return stream
 
-    def _ship_gather(
+    def _chain(
         self, plan: ShipPlan, initial: IdBinding, shards: Tuple[int, ...]
     ) -> Iterator[IdBinding]:
+        """Chain per-shard streams lazily: a satisfied ASK/LIMIT consumer
+        stops before the trailing shards are ever planned or scanned."""
         for index in shards:
             yield from execute_ship_plan(self._locals[index], plan, initial)
 
-    def _ship_plan(self, group: GroupGraphPattern) -> Tuple[Optional[ShipPlan], str]:
-        """Build (or reuse) the ship plan for ``group``.
+    def _distributed_plan(
+        self, group: GroupGraphPattern
+    ) -> Tuple[Optional[ShipPlan], str]:
+        """The group's distributed plan, or ``(None, fallback_reason)``.
 
-        Cached per group *and* store version — the broadcast tables are
-        materialised data, so a mutation invalidates them even though the
-        AST key is unchanged.
+        A co-partitioned group is a plan that anchors the whole group and
+        broadcasts nothing; otherwise join shipping is tried.  Cached per
+        group *and* store version — broadcast tables are materialised
+        data, so a mutation invalidates them even though the AST key is
+        unchanged.
         """
         version = self.store.data_version
-        cached = self._ship_cache.get(group)
+        cached = self._plans.get(group)
         if cached is not None and cached[0] == version:
             return cached[1], cached[2]
-        if len(self._ship_cache) >= PLAN_CACHE_LIMIT:
-            self._ship_cache.clear()
-        with self._tracer.span("ship:broadcast-build"):
-            plan, reason = build_ship_plan(self.store, self._dict, group)
-        if plan is not None:
-            self._metrics.increment("ship.plans_built")
-            self._metrics.increment("ship.broadcast_rows", plan.broadcast_rows)
-            self._metrics.increment("ship.broadcast_bytes", plan.broadcast_bytes)
-        self._ship_cache[group] = (version, plan, reason)
+        if len(self._plans) >= PLAN_CACHE_LIMIT:
+            self._plans.clear()
+        subject = co_partition_subject(group)
+        if subject is not None:
+            plan: Optional[ShipPlan] = ShipPlan(subject, group, (), ())
+            reason = ""
+        else:
+            with self._tracer.span("ship:broadcast-build"):
+                plan, reason = build_ship_plan(self.store, self._dict, group)
+            if plan is not None:
+                self._metrics.increment("ship.plans_built")
+                self._metrics.increment("ship.broadcast_rows", plan.broadcast_rows)
+                self._metrics.increment("ship.broadcast_bytes", plan.broadcast_bytes)
+            else:
+                reason = (
+                    f"{co_partition_reason(group)}; "
+                    f"join shipping rejected: {reason}"
+                )
+        self._plans[group] = (version, plan, reason)
         return plan, reason
 
-    def _route_ship(
-        self, plan: ShipPlan, initial: IdBinding
-    ) -> Tuple[int, ...]:
-        """The shards that must run a ship plan's anchor (may be empty)."""
-        bound = initial.get(plan.partition_variable)
-        if bound is not None:
-            if type(bound) is not int:
-                return ()
-            candidates: Optional[List[int]] = [
-                self.store.shard_index_for_subject(bound)
-            ]
-        else:
-            candidates = None
+    def _route(self, plan: ShipPlan, initial: IdBinding) -> Tuple[int, ...]:
+        """The shards that must run the plan's anchor (may be empty)."""
+        candidates = self._candidate_shards(plan, initial)
+        if candidates is not None and not candidates:
+            return ()
         id_patterns = []
         for pattern in plan.anchor.elements:
+            if not isinstance(pattern, TriplePatternNode):
+                continue
             consts = resolve_pattern_ids(self._dict, pattern)
             if consts is None:  # a constant unknown to the dictionary
                 return ()
@@ -670,59 +611,17 @@ class ShardedQueryEvaluator(QueryEvaluator):
         shards, _ = self._router.route_group(id_patterns, candidates)
         return shards
 
-    def _scatter_subject(self, group: GroupGraphPattern) -> Optional[Variable]:
-        cached = self._scatter_cache.get(group)
-        if cached is None:
-            if len(self._scatter_cache) >= PLAN_CACHE_LIMIT:
-                self._scatter_cache.clear()
-            subject = co_partition_subject(group)
-            self._scatter_cache[group] = (
-                subject if subject is not None else _NOT_CO_PARTITIONED
-            )
-            return subject
-        return None if cached is _NOT_CO_PARTITIONED else cached  # type: ignore[return-value]
-
-    def _route(
-        self,
-        group: GroupGraphPattern,
-        subject: Variable,
-        initial: IdBinding,
-    ) -> Tuple[int, ...]:
-        """The shards that must evaluate ``group`` (may be empty)."""
-        shards, _ = self._route_with_details(group, subject, initial)
-        return shards
-
-    def _route_with_details(
-        self,
-        group: GroupGraphPattern,
-        subject: Variable,
-        initial: IdBinding,
-    ) -> Tuple[Tuple[int, ...], Tuple[PatternRoute, ...]]:
-        candidates = self._candidate_shards(group, subject, initial)
-        if candidates is not None and not candidates:
-            return (), ()
-        patterns = [e for e in group.elements if isinstance(e, TriplePatternNode)]
-        id_patterns = []
-        for pattern in patterns:
-            consts = resolve_pattern_ids(self._dict, pattern)
-            if consts is None:  # a constant unknown to the dictionary
-                return (), ()
-            id_patterns.append(tuple(consts))
-        return self._router.route_group(id_patterns, candidates)
-
     def _candidate_shards(
-        self,
-        group: GroupGraphPattern,
-        subject: Variable,
-        initial: IdBinding,
+        self, plan: ShipPlan, initial: IdBinding
     ) -> Optional[List[int]]:
-        """Shards the subject variable can land in, or ``None`` for all.
+        """Shards the partition variable can land in, or ``None`` for all.
 
-        An initial binding pins one shard; VALUES nodes binding the
-        subject in *every* row restrict to the rows' owning shards (rows
-        whose term is unknown to the dictionary can never join a
+        An initial binding pins one shard; anchor VALUES nodes binding
+        the variable in *every* row restrict to the rows' owning shards
+        (rows whose term is unknown to the dictionary can never join a
         pattern, so they restrict too).
         """
+        subject = plan.partition_variable
         bound = initial.get(subject)
         if bound is not None:
             if type(bound) is not int:
@@ -730,7 +629,7 @@ class ShardedQueryEvaluator(QueryEvaluator):
             return [self.store.shard_index_for_subject(bound)]
         candidates: Optional[set] = None
         id_for = self._dict.id_for
-        for node in group.elements:
+        for node in plan.anchor.elements:
             if not isinstance(node, ValuesNode) or subject not in node.variables:
                 continue
             position = node.variables.index(subject)
@@ -757,43 +656,31 @@ class ShardedQueryEvaluator(QueryEvaluator):
         if isinstance(query, str):
             query = parse_query(query)
         base = super().explain(query)
-        group = query.where
-        subject = self._scatter_subject(group)
-        ship: Optional[ShipPlan] = None
-        fallback_reason: Optional[str] = None
-        if subject is not None:
-            candidates = self._candidate_shards(group, subject, IdBinding.EMPTY)
-            mode = "scatter"
+        plan, fallback_reason = self._distributed_plan(query.where)
+        if plan is None:
+            mode, subject, candidates, shipped = "global", None, None, ()
         else:
-            candidates = None
-            ship, ship_reason = self._ship_plan(group)
-            if ship is not None:
-                mode = "ship"
-                subject = ship.partition_variable
-            else:
-                mode = "global"
-                fallback_reason = (
-                    f"{co_partition_reason(group)}; "
-                    f"join shipping rejected: {ship_reason}"
-                )
-        if (
-            mode != "global"
-            and isinstance(query, SelectQuery)
-            and query.is_aggregate
-            and self._try_fast_count(query) is None
-        ):
-            spec = build_fold_spec(query, subject)
-            if spec is None:
-                fallback_reason = (
-                    "aggregate projection cannot fold worker-side "
-                    "(non-COUNT expression); rows stream to the parent"
-                )
-            elif spec.group_by and (query.limit is not None or query.offset):
-                fallback_reason = (
-                    "grouped aggregate with LIMIT/OFFSET folds in the "
-                    "parent (merge order is not deterministic)"
-                )
-        shipped = ship.shipped if ship is not None else ()
+            mode = "ship" if plan.shipped else "scatter"
+            subject = plan.partition_variable
+            candidates = self._candidate_shards(plan, IdBinding.EMPTY)
+            shipped = plan.shipped
+            fallback_reason = None
+            if (
+                isinstance(query, SelectQuery)
+                and query.is_aggregate
+                and self._try_fast_count(query) is None
+            ):
+                spec = build_fold_spec(query, subject)
+                if spec is None:
+                    fallback_reason = (
+                        "aggregate projection cannot fold worker-side "
+                        "(non-COUNT expression); rows stream to the parent"
+                    )
+                elif spec.group_by and (query.limit is not None or query.offset):
+                    fallback_reason = (
+                        "grouped aggregate with LIMIT/OFFSET folds in the "
+                        "parent (merge order is not deterministic)"
+                    )
         routing: List[PatternRoute] = []
         surviving = (
             set(candidates) if candidates is not None else set(self._router.all_shards())

@@ -7,7 +7,7 @@ Two index families live here:
   term IDs**, ``key -> second -> sorted array of thirds``.  Integer keys
   hash and compare in a few nanoseconds, and the sorted third-level
   (:class:`SortedList`, a bisect-maintained ``list`` subclass) keeps
-  bisect membership, range iteration and sort-merge joins cheap.
+  bisect membership and range iteration cheap.
 * :class:`FrozenIdIndex` — the read-only columnar twin used by cold-opened
   snapshots (:mod:`repro.store.persist`): the same logical mapping laid
   out as five sorted int64 columns in CSR form, viewed through
@@ -320,7 +320,7 @@ class IdTripleIndex:
     def sorted_thirds(self, key: int, second: int):
         """The sorted third-level container under ``(key, second)``.
 
-        Returns the container itself (or an empty tuple) so merge joins can
+        Returns the container itself (or an empty tuple) so callers can
         walk the run without copying.  Callers must not mutate it.
         """
         by_second = self._index.get(key)

@@ -759,7 +759,8 @@ class TripleStore:
 
         Exactly two positions must be constant IDs; the returned sequence
         is the matching index's third-level container (IDs in ascending
-        order) and must not be mutated.  This is what merge joins stream.
+        order) and must not be mutated.  The block kernels scan
+        two-constant patterns from it.
         """
         s, p, o = subject, predicate, object
         if s is not None and p is not None and o is None:

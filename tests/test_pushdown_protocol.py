@@ -28,6 +28,8 @@ from repro.rdf.namespace import Namespace
 from repro.rdf.triple import Triple
 from repro.shard.sharded_store import ShardedTripleStore
 from repro.shard.workers import DEFAULT_RESULT_WINDOW, ProcessShardExecutor
+from repro.sparql.bindings import Variable
+from repro.sparql.distjoin import ShipPlan
 from repro.sparql.evaluate import QueryEvaluator
 from repro.sparql.parser import parse_query
 from repro.sparql.scatter import ShardedQueryEvaluator
@@ -167,7 +169,8 @@ class TestFlowControl:
         ) as executor:
             assert executor.result_window == window
             group = parse_query(STAR_QUERY).where
-            stream = executor.run_group([0], group)
+            plan = ShipPlan(Variable("s"), group, (), ())
+            stream = executor.run_group([0], plan)
             next(stream)
             # Let the worker run as far ahead as the protocol allows.
             time.sleep(0.8)
@@ -197,7 +200,8 @@ class TestFlowControl:
         ) as executor:
             executor.stall(0, seconds=0.5)  # keep the worker busy post-cancel
             group = parse_query(STAR_QUERY).where
-            stream = executor.run_group([0], group)
+            plan = ShipPlan(Variable("s"), group, (), ())
+            stream = executor.run_group([0], plan)
             next(stream)
             time.sleep(0.3)  # let the window fill
             stream.close()  # enqueue the cancel
@@ -220,7 +224,8 @@ class TestFlowControl:
             result_window=1,
         ) as executor:
             group = parse_query(STAR_QUERY).where
-            stream = executor.run_group([0], group)
+            plan = ShipPlan(Variable("s"), group, (), ())
+            stream = executor.run_group([0], plan)
             next(stream)
             stream.close()
             start = time.monotonic()

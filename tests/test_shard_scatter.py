@@ -236,6 +236,30 @@ class TestShardedExplain:
         assert plan.mode == "ship"
         assert plan.subject_variable == Variable("o")
 
+    @pytest.mark.parametrize(
+        "query, explained, executed",
+        [
+            # The HTTP benchmark's read mix: entity lookup, ASK, page,
+            # entity-anchored join, COUNT DISTINCT.
+            ("SELECT ?p ?o WHERE { <http://scatter.test/s1> ?p ?o }",
+             "global", "global"),
+            ("ASK { <http://scatter.test/s1> <http://scatter.test/p1> ?o }",
+             "global", "global"),
+            ("SELECT ?s ?o WHERE { ?s <http://scatter.test/p1> ?o } "
+             "LIMIT 5 OFFSET 3", "scatter", "scatter"),
+            ("SELECT ?p ?o ?x WHERE { <http://scatter.test/s1> ?p ?o . "
+             "?o <http://scatter.test/link> ?x }", "ship", "ship"),
+            # Planned as a scatter, answered from parent-side index counts.
+            ("SELECT (COUNT(DISTINCT ?s) AS ?c) WHERE "
+             "{ ?s <http://scatter.test/p1> ?o }", "scatter", "fast-count"),
+        ],
+    )
+    def test_benchmark_read_mix_modes(self, stores, query, explained, executed):
+        evaluator = ShardedQueryEvaluator(stores[1])
+        assert evaluator.explain(query).mode == explained
+        evaluator.evaluate(query)
+        assert evaluator.last_mode() == executed
+
     def test_mixed_shape_falls_back_with_reason(self, evaluator):
         plan = evaluator.explain(
             "SELECT * WHERE { ?s <http://scatter.test/p1> ?o "

@@ -93,33 +93,6 @@ class TestPlanOrdering:
 
 
 class TestOperatorSelection:
-    def test_merge_on_sorted_run_compatible_bgp(self):
-        # ?s tiny t0 . ?s big v0 — both two-constant patterns over the same
-        # variable: the first scan streams ?s in sorted ID order, so the
-        # second side can sort-merge against its subject run.
-        store = skewed_store()
-        patterns = [
-            TriplePatternNode(S, EX.tiny, EX.t0),
-            TriplePatternNode(S, EX.big, EX.v0),
-        ]
-        plan = plan_bgp(store, patterns)
-        assert plan.operators() == ["scan", "merge"]
-        assert plan.steps[1].merge_variable == S
-
-    def test_merge_survives_an_intermediate_left_streaming_join(self):
-        # The middle pattern binds a new variable via a nested/hash join;
-        # left-streaming joins preserve the ?s order, so the third pattern
-        # can still merge.
-        store = skewed_store()
-        patterns = [
-            TriplePatternNode(S, EX.tiny, EX.t0),
-            TriplePatternNode(S, EX.mid, Y),
-            TriplePatternNode(S, EX.big, EX.v0),
-        ]
-        plan = plan_bgp(store, patterns)
-        assert plan.operators()[0] == "scan"
-        assert plan.operators()[2] == "merge"
-
     def test_nested_join_for_selective_probe(self):
         # After scanning tiny (4 rows) the stream is smaller than mid's 20
         # facts, so probing the index per solution beats building a table.
@@ -147,17 +120,6 @@ class TestOperatorSelection:
         assert plan.steps[1].operator == "nested"
         assert plan.steps[2].operator == "hash"
         assert plan.steps[2].join_variables == (X,)
-
-    def test_values_input_disables_merge_sortedness(self):
-        # With a fanned-out input stream the first scan's output is only
-        # block-sorted, so merge must not be chosen.
-        store = skewed_store()
-        patterns = [
-            TriplePatternNode(S, EX.tiny, EX.t0),
-            TriplePatternNode(S, EX.big, EX.v0),
-        ]
-        plan = plan_bgp(store, patterns, single_input=False)
-        assert "merge" not in plan.operators()
 
 
 class TestEvaluatorIntegration:

@@ -50,11 +50,15 @@ def _multiset(result) -> Counter:
 
 
 QUERIES = [
-    # 3-pattern chain: SCAN + MERGE/HASH territory.
+    # 3-pattern chain: SCAN + HASH/NESTED territory.
     "SELECT * WHERE { ?a <http://vec.test/p0> ?b . ?b <http://vec.test/p1> ?c . "
     "?c <http://vec.test/p2> ?d }",
     # Star join on a shared subject.
     "SELECT * WHERE { ?a <http://vec.test/p0> ?b . ?a <http://vec.test/p2> ?c }",
+    # Two-constant star: the second sorted run joins the first scan's
+    # single variable through a one-column probe build.
+    "SELECT * WHERE { ?a <http://vec.test/p0> <http://vec.test/e1> . "
+    "?a <http://vec.test/p1> <http://vec.test/e37> }",
     # Full scan pattern (0 constants) joined against a selective one.
     "SELECT * WHERE { ?s ?p ?o . ?s <http://vec.test/p2> ?x }",
     # Triangle: a 2-step kernel prefix (scan, nested) hands both ?a and ?c

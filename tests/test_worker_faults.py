@@ -30,6 +30,8 @@ from repro.rdf.namespace import Namespace
 from repro.rdf.triple import Triple
 from repro.shard.sharded_store import ShardedTripleStore
 from repro.shard.workers import ProcessShardExecutor
+from repro.sparql.bindings import Variable
+from repro.sparql.distjoin import ShipPlan
 from repro.sparql.parser import parse_query
 from repro.sparql.scatter import ShardedQueryEvaluator
 
@@ -98,9 +100,10 @@ class TestExecutorCrash:
         with store.serve(tmp_path / "snap", start_method=START_METHOD) as executor:
             pid = _stall_worker(executor, shard_index=0)
             group = parse_query(SCATTER_QUERY).where
+            plan = ShipPlan(Variable("s"), group, (), ())
             # Dispatch happens eagerly inside run_group: the shard-0 task
             # is now queued behind the stall on the doomed worker.
-            stream = executor.run_group(range(store.num_shards), group)
+            stream = executor.run_group(range(store.num_shards), plan)
             os.kill(pid, signal.SIGKILL)
             with pytest.raises(WorkerCrashError, match="died"):
                 list(stream)
@@ -121,7 +124,8 @@ class TestExecutorCrash:
             tmp_path / "snap", start_method=START_METHOD, batch_rows=1
         ) as executor:
             group = parse_query(SCATTER_QUERY).where
-            stream = executor.run_group([0], group)
+            plan = ShipPlan(Variable("s"), group, (), ())
+            stream = executor.run_group([0], plan)
             first = next(stream)
             assert first is not None
             os.kill(executor.worker_pids()[0], signal.SIGKILL)
@@ -202,7 +206,8 @@ class TestProtocolAccounting:
         with store.serve(tmp_path / "snap", start_method=START_METHOD) as executor:
             pid = _stall_worker(executor, shard_index=0)
             group = parse_query(SCATTER_QUERY).where
-            stream = executor.run_group(range(store.num_shards), group)
+            plan = ShipPlan(Variable("s"), group, (), ())
+            stream = executor.run_group(range(store.num_shards), plan)
             os.kill(pid, signal.SIGKILL)
             with pytest.raises(WorkerCrashError):
                 list(stream)

@@ -37,6 +37,7 @@ from repro.sparql.ast import (
     TriplePatternNode,
 )
 from repro.sparql.bindings import IdBinding, Variable
+from repro.sparql.distjoin import ShipPlan
 from repro.sparql.evaluate import QueryEvaluator
 from repro.sparql.scatter import ShardedQueryEvaluator
 from repro.store.dictionary import encode_term_record
@@ -93,7 +94,10 @@ class TestNoReintern:
         directory = Path(tempfile.mkdtemp(prefix="nointern-")) / "snap"
         with store.serve(directory, start_method=START_METHOD) as executor:
             worker_rows = list(
-                executor.run_group(range(store.num_shards), group)
+                executor.run_group(
+                    range(store.num_shards),
+                    ShipPlan(Variable("s"), group, (), ()),
+                )
             )
             local_rows = [
                 binding

@@ -32,6 +32,7 @@ from repro.shard.workers import (
     encode_binding,
 )
 from repro.sparql.bindings import IdBinding, Variable
+from repro.sparql.distjoin import ShipPlan
 from repro.sparql.evaluate import QueryEvaluator
 from repro.sparql.parser import parse_query
 from repro.sparql.scatter import ShardedQueryEvaluator
@@ -113,7 +114,8 @@ class TestResultParity:
     def test_run_group_streams_id_bindings(self, served):
         store, executor = served
         group = parse_query(QUERY_BATTERY[0]).where
-        rows = list(executor.run_group(range(store.num_shards), group))
+        plan = ShipPlan(Variable("s"), group, (), ())
+        rows = list(executor.run_group(range(store.num_shards), plan))
         locals_ = [QueryEvaluator(shard) for shard in store.shards]
         expected = [
             binding
