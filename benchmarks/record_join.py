@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 _ROOT = Path(__file__).parent.parent
@@ -37,20 +36,12 @@ from repro.sparql.parser import parse_query  # noqa: E402
 from repro.store.triplestore import TripleStore  # noqa: E402
 from repro.synthetic.generator import generate_world  # noqa: E402
 from repro.synthetic.presets import yago_dbpedia_spec  # noqa: E402
+from _harness import best_of  # noqa: E402
 
 SAME_AS = "http://www.w3.org/2002/07/owl#sameAs"
 
-
-def _best_of(fn, repeats: int = 5, inner: int = 1) -> float:
-    """Best wall time of ``fn`` over ``repeats`` runs, in milliseconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        elapsed = (time.perf_counter() - start) / inner
-        best = min(best, elapsed)
-    return best * 1000.0
+#: Timed runs per metric (best-of).
+REPEATS = 5
 
 
 def run_benchmarks() -> dict:
@@ -91,18 +82,18 @@ def run_benchmarks() -> dict:
     return {
         "yago_triples": len(store),
         "preset_triples": len(all_triples),
-        "sparql_join3_selective_last_ms": _best_of(
-            lambda: evaluator.evaluate(join3)
+        "sparql_join3_selective_last_ms": best_of(
+            lambda: evaluator.evaluate(join3), REPEATS
         ),
-        "sparql_join4_selective_last_ms": _best_of(
-            lambda: evaluator.evaluate(join4)
+        "sparql_join4_selective_last_ms": best_of(
+            lambda: evaluator.evaluate(join4), REPEATS
         ),
-        "sparql_ask_skewed_ms": _best_of(
-            lambda: evaluator.evaluate(ask_skewed), inner=5
+        "sparql_ask_skewed_ms": best_of(
+            lambda: evaluator.evaluate(ask_skewed), REPEATS, inner=5
         ),
-        "bulk_load_preset_ms": _best_of(build_store, repeats=5),
-        "membership_probe_ms": _best_of(
-            lambda: sum(1 for triple in probes if triple in store)
+        "bulk_load_preset_ms": best_of(build_store, REPEATS),
+        "membership_probe_ms": best_of(
+            lambda: sum(1 for triple in probes if triple in store), REPEATS
         ),
     }
 

@@ -56,6 +56,7 @@ from repro.rdf.triple import Triple  # noqa: E402
 from repro.shard.sharded_store import ShardedTripleStore  # noqa: E402
 from repro.synthetic.generator import generate_world  # noqa: E402
 from repro.synthetic.presets import yago_dbpedia_spec  # noqa: E402
+from _harness import best_of  # noqa: E402
 
 EX = Namespace("http://bench.mutation/")
 
@@ -64,6 +65,8 @@ BURST = 2_000
 HAMMER_THREADS = 4
 STEADY_SECONDS = 0.6
 TAIL_SECONDS = 0.25
+#: Timed runs per best-of metric.
+REPEATS = 3
 
 
 def _burst_triples(count: int, start: int = 0) -> list:
@@ -71,16 +74,6 @@ def _burst_triples(count: int, start: int = 0) -> list:
         Triple(EX[f"burst{start + i}"], EX.touched, EX[f"o{i % 17}"])
         for i in range(count)
     ]
-
-
-def _best_of(fn, repeats: int = 3) -> float:
-    """Best wall time of ``fn`` over ``repeats`` runs, in milliseconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best * 1000.0
 
 
 def _p99(samples: list) -> float:
@@ -113,7 +106,7 @@ def _bench_delta_lifecycle(triples: list, results: dict) -> None:
         round_counter[0] += 1
         clone.save(tmp / f"full{round_counter[0]}")
 
-    results["full_save_ms"] = _best_of(full_save)
+    results["full_save_ms"] = best_of(full_save, REPEATS)
 
     start = time.perf_counter()
     wrote = store.save_delta(base_dir)
@@ -126,8 +119,8 @@ def _bench_delta_lifecycle(triples: list, results: dict) -> None:
             results["full_save_ms"] / results["delta_save_ms"], 2
         )
 
-    results["delta_open_ms"] = _best_of(
-        lambda: ShardedTripleStore.open(base_dir)
+    results["delta_open_ms"] = best_of(
+        lambda: ShardedTripleStore.open(base_dir), REPEATS
     )
     reopened = ShardedTripleStore.open(base_dir)
     assert len(reopened) == len(store), "delta chain must replay fully"
@@ -135,8 +128,8 @@ def _bench_delta_lifecycle(triples: list, results: dict) -> None:
     start = time.perf_counter()
     store.compact(base_dir)
     results["compact_ms"] = (time.perf_counter() - start) * 1000.0
-    results["compacted_open_ms"] = _best_of(
-        lambda: ShardedTripleStore.open(base_dir)
+    results["compacted_open_ms"] = best_of(
+        lambda: ShardedTripleStore.open(base_dir), REPEATS
     )
 
     start = time.perf_counter()

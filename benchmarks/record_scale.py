@@ -55,20 +55,11 @@ from repro.sparql.evaluate import QueryEvaluator  # noqa: E402
 from repro.sparql.parser import parse_query  # noqa: E402
 from repro.synthetic.cache import load_or_generate  # noqa: E402
 from repro.synthetic.stream import SCALE_PRESETS, scale_world_spec  # noqa: E402
+from _harness import best_of  # noqa: E402
 
 #: Mid-tail predicates of the skewed family: selective enough that the
 #: 3-pattern chain stays tractable for the scalar reference at 10M.
 JOIN_PREDICATES = ("p4", "p5", "p6")
-
-
-def _best_of(fn, repeats: int) -> float:
-    """Best wall time of ``fn`` over ``repeats`` runs, in milliseconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best * 1000.0
 
 
 def _join_query(spec):
@@ -116,8 +107,8 @@ def bench_size(size_key: str, cache_root, refresh: bool) -> dict:
     rows = len(vectorized.evaluate(query))
     assert len(scalar.evaluate(query)) == rows, "vectorized/scalar row-count mismatch"
     repeats = _repeats_for(world.triples)
-    vec_ms = _best_of(lambda: vectorized.evaluate(query), repeats)
-    scalar_ms = _best_of(lambda: scalar.evaluate(query), repeats)
+    vec_ms = best_of(lambda: vectorized.evaluate(query), repeats)
+    scalar_ms = best_of(lambda: scalar.evaluate(query), repeats)
     metrics.update(
         {
             "join3_rows": rows,

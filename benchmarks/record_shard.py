@@ -55,6 +55,7 @@ from repro.shard.sharded_store import ShardedTripleStore  # noqa: E402
 from repro.store.triplestore import TripleStore  # noqa: E402
 from repro.synthetic.generator import generate_world  # noqa: E402
 from repro.synthetic.presets import yago_dbpedia_spec  # noqa: E402
+from _harness import best_of  # noqa: E402
 
 SHARD_COUNTS = (1, 2, 4, 8)
 
@@ -63,16 +64,8 @@ SHARD_COUNTS = (1, 2, 4, 8)
 #: latency per query — small enough to benchmark, large enough to dominate
 #: a sequential client the way live endpoint latency does.
 LATENCY_SCALE = 0.004
-
-
-def _best_of(fn, repeats: int = 3) -> float:
-    """Best wall time of ``fn`` over ``repeats`` runs, in milliseconds."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best * 1000.0
+#: Timed runs per build-time metric (best-of).
+REPEATS = 3
 
 
 def _policy() -> AccessPolicy:
@@ -118,14 +111,15 @@ def run_benchmarks(spec=None) -> dict:
     # ------------------------------------------------------------------ #
     # Build times: single columnar load vs shard-parallel loads.
     # ------------------------------------------------------------------ #
-    results["build_single_ms"] = _best_of(
-        lambda: TripleStore(name="bench").bulk_load(triples)
+    results["build_single_ms"] = best_of(
+        lambda: TripleStore(name="bench").bulk_load(triples), REPEATS
     )
     for count in SHARD_COUNTS:
-        results[f"build_shards{count}_ms"] = _best_of(
+        results[f"build_shards{count}_ms"] = best_of(
             lambda count=count: ShardedTripleStore(
                 num_shards=count, name="bench"
-            ).bulk_load(triples, parallel=True)
+            ).bulk_load(triples, parallel=True),
+            REPEATS,
         )
 
     # ------------------------------------------------------------------ #

@@ -174,8 +174,8 @@ class ShardedTripleStore:
         """Write the sharded store as a snapshot directory.
 
         Layout: ``manifest.json`` (topology + checksum), one shared
-        ``dictionary.snap`` and one ``shard{i}.snap`` columns file per
-        shard — see :mod:`repro.store.persist`.
+        ``dictionary-g{N}.snap`` and one ``shard{i}-g{N}.snap`` columns
+        file per shard — see :mod:`repro.store.persist`.
         """
         from pathlib import Path
 

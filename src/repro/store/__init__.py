@@ -50,7 +50,10 @@ read-only — the dictionary becomes a lazily decoding
 :class:`LazyTermDictionary` over the string heap and each index order a
 :class:`FrozenIdIndex` over mmap'd CSR columns, so reopening skips the
 re-intern/re-sort rebuild entirely and the first mutation promotes the
-store back to the writable form.
+store back to the writable form.  A single-file snapshot is always a full
+rewrite; incremental delta chains exist only in sharded snapshot
+directories (``ShardedTripleStore.save_delta``, one shard for a
+single-partition store), whose manifest names the files that apply.
 """
 
 from repro.store.dictionary import LazyTermDictionary, TermDictionary

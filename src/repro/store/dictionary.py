@@ -355,17 +355,12 @@ class LazyTermDictionary(TermDictionary):
         starting at 0).  The records receive the next dense IDs in order
         — exactly the IDs they held when the delta was written, which the
         persist layer validates via the delta's recorded base term count.
-        Unpromoted, the tail is indexed by an exact-record map (the
-        base lookup permutation is left untouched); a promoted dictionary
-        interns the decoded terms directly.
+        The dictionary must still be unpromoted (a freshly opened one):
+        the tail is indexed by an exact-record map and the base lookup
+        permutation is left untouched.
         """
         count = len(offsets) - 1
         if count <= 0:
-            return
-        if self._promoted:
-            ids = self._ids
-            for index in range(count):
-                ids[decode_term_record(heap[offsets[index] : offsets[index + 1]])]
             return
         start = len(self._terms)
         grown = len(self._tail_heap)

@@ -7,11 +7,11 @@ reopens without re-sorting or re-interning anything — the cold store's
 indexes are :class:`~repro.store.index.FrozenIdIndex` views straight over
 the mapped file, and its dictionary is a
 :class:`~repro.store.dictionary.LazyTermDictionary` that decodes strings on
-demand.  The planner, merge/hash joins, scatter router and O(1) COUNT
-paths all read the same ``count_for_key`` / ``third_count`` /
-``sorted_run_ids`` bookkeeping they read on a warm store.
+demand.  The planner, block kernels, scatter router and O(1) COUNT paths
+all read the same ``count_for_key`` / ``third_count`` bookkeeping they
+read on a warm store.
 
-Container layout (single file, all integers little-endian)::
+Container layout (one file, all integers little-endian)::
 
     offset  size  field
     ------  ----  -----------------------------------------------------
@@ -25,14 +25,17 @@ Container layout (single file, all integers little-endian)::
 The header records ``{"kind", "version", "name", "triples", "terms",
 "sections"}`` where ``sections`` maps each tag to ``[relative offset,
 length, crc32]`` (offsets relative to the padded end of the header, so the
-header's own size never feeds back into it).  Three container *kinds*
+header's own size never feeds back into it).  Four container *kinds*
 share the layout:
 
 * ``"store"``      — dictionary sections + three index orders
   (``TripleStore.save`` / ``TripleStore.open``);
 * ``"dictionary"`` — dictionary sections only (the shared per-directory
   file of a sharded snapshot);
-* ``"columns"``    — index sections only (one per shard).
+* ``"columns"``    — index sections only (one per shard);
+* ``"delta"``      — one link of a sharded snapshot's incremental chain:
+  either a dictionary tail (the terms interned since) or one shard's net
+  added/removed ID triples.
 
 Dictionary sections: ``dict/heap`` (concatenated
 :func:`~repro.store.dictionary.encode_term_record` records in ID order),
@@ -43,16 +46,21 @@ each order ``spo`` / ``pos`` / ``osp``: the five CSR columns ``keys``,
 ``key_groups``, ``seconds``, ``group_starts``, ``thirds`` described on
 :class:`FrozenIdIndex`.
 
-A sharded snapshot is a directory: ``manifest.json`` (shard topology +
-self-CRC), one shared dictionary container and one columns container per
-shard — every shard reopens over the same :class:`LazyTermDictionary`,
-so the ID space survives exactly.  Payload files carry a **generation
-suffix** (``dictionary-g3.snap``, ``shard0-g3.snap``, ...) and the
-manifest — which names its generation's files — is replaced *last* and
-atomically: a crash anywhere mid-save leaves the previous manifest
-pointing at the previous generation's untouched files, so the last good
-snapshot always survives and mixed-generation opens are impossible.
-Stale generations are swept after a successful save.
+A single-file ``store`` snapshot is always a full rewrite.  Incremental
+persistence lives only in sharded snapshots (a single-partition user runs
+``ShardedTripleStore(num_shards=1)``).  A sharded snapshot is a
+directory: ``manifest.json`` (shard topology + self-CRC), one shared
+dictionary container and one columns container per shard — every shard
+reopens over the same :class:`LazyTermDictionary`, so the ID space
+survives exactly.  ``ShardedTripleStore.save_delta`` appends per-shard
+and dictionary ``delta`` files, and the manifest names exactly the
+chain that applies.  Payload files carry a **generation suffix**
+(``dictionary-g3.snap``, ``shard0-g3.snap``, ``shard0-d1-g3.snap``, ...)
+and the manifest is replaced *last* and atomically: a crash anywhere
+mid-save leaves the previous manifest pointing at untouched files, so
+the last good snapshot always survives, mixed-generation opens are
+impossible and orphaned delta files never replay.  Stale generations are
+swept after a successful full save.
 
 Every integrity failure — bad magic, bad version, truncation, any
 section or header CRC mismatch, inconsistent column lengths — raises
@@ -87,8 +95,8 @@ VERSION = 1
 KIND_STORE = "store"
 KIND_DICTIONARY = "dictionary"
 KIND_COLUMNS = "columns"
-#: Append-only snapshot delta: the terms interned since the base (a
-#: dictionary-section tail) plus the net added/removed ID triples.
+#: One link of a sharded delta chain: a dictionary tail or one shard's
+#: net added/removed ID triples.
 KIND_DELTA = "delta"
 
 #: Index orders and the CSR columns serialised per order.
@@ -168,21 +176,12 @@ def write_container(
     atomically replaced).
 
     ``extra`` merges additional keys into the header (delta containers
-    record their base-generation linkage there).  Every header also
-    carries a ``chain`` stamp — a CRC over the concatenated section
-    payloads, i.e. a deterministic content fingerprint — which delta
-    files copy as ``base_chain`` so a reopened chain can tell whether the
-    deltas next to a base file actually belong to it (a crashed
-    ``compact`` leaves stale deltas behind; the stamp makes them inert).
+    record their sequence number and counts there).
     """
     table: Dict[str, List[int]] = {}
     offset = 0
-    chain = 0
-    payloads = []
     for tag, payload in sections:
         table[tag] = [offset, len(payload), zlib.crc32(payload)]
-        payloads.append(payload)
-        chain = zlib.crc32(payload, chain)
         offset += len(payload) + _pad8(len(payload))
     body = {
         "kind": kind,
@@ -190,7 +189,6 @@ def write_container(
         "name": name,
         "triples": triples,
         "terms": terms,
-        "chain": chain,
         "sections": table,
     }
     if extra:
@@ -199,7 +197,7 @@ def write_container(
     parts = [MAGIC, len(header).to_bytes(4, "little"),
              zlib.crc32(header).to_bytes(4, "little"), header,
              b"\0" * _pad8(_PREFIX_LEN + len(header))]
-    for payload in payloads:
+    for _, payload in sections:
         parts.append(payload)
         parts.append(b"\0" * _pad8(len(payload)))
     _atomic_write_bytes(Path(path), b"".join(parts))
@@ -379,64 +377,28 @@ def _apply_deltas(
     delta_paths: List[Path],
     mmap: bool,
     verify: bool,
-    apply_terms: bool,
-    base_chain: Optional[int] = None,
 ):
-    """Replay a delta chain over a freshly opened base store.
+    """Replay one shard's delta chain over its freshly opened base store.
 
     Returns a new frozen store holding the base content with every
     delta's removals dropped and additions appended (rebuilt through
     :meth:`TripleStore.from_id_columns`, so all three permutations come
     back sorted/CSR exactly as a direct save of the final state would).
-    With ``apply_terms`` each delta's dictionary tail extends
-    ``dictionary`` first — the sharded open applies dictionary deltas
-    once per directory instead and passes ``apply_terms=False`` for the
-    per-shard chains.
-
-    ``base_chain`` (single-file chains) is the base header's content
-    stamp: deltas whose ``base_chain`` differs are stale leftovers of a
-    crashed :func:`compact_store` and are ignored from that point on.
-    When it is ``None`` the caller's file list is authoritative (the
-    sharded manifest is replaced atomically and names exactly the deltas
-    that apply), so no link validation happens — sharded per-shard
-    deltas deliberately carry no ``base_chain`` stamp.
+    The manifest is replaced atomically and names exactly the deltas that
+    apply, so ``delta_paths`` is authoritative; their terms were already
+    appended to ``dictionary`` by the directory's dictionary chain.
     """
     from repro.store.triplestore import TripleStore, _numpy
 
     deltas = []
-    validate = base_chain is not None
-    chain = base_chain
     for path in delta_paths:
         buffer = _load_buffer(path, use_mmap=mmap)
         header, views = read_container(buffer, kind=KIND_DELTA, verify=verify)
-        if validate and header.get("base_chain") != chain:
-            # Stale chain from a folded base: everything from here on
-            # describes a previous generation and must not replay.
-            break
-        chain = header.get("chain")
-        deltas.append((header, views, buffer))
-    if not deltas:
-        return store
-    if apply_terms:
-        for header, views, _ in deltas:
-            offsets = _int64_view(views["dterms/offsets"], "dterms/offsets")
-            if len(offsets) <= 1:
-                continue
-            if header.get("base_terms") != len(dictionary):
-                raise SnapshotCorruptError(
-                    "Delta chain term counts are inconsistent with the base"
-                )
-            if not isinstance(dictionary, LazyTermDictionary):
-                raise SnapshotCorruptError(
-                    "Delta term tails require a lazy base dictionary"
-                )
-            dictionary.extend_tail(
-                views["dterms/heap"], offsets, views["dterms/kinds"]
-            )
+        deltas.append((header, views))
     np = _numpy()
     total_removed = sum(
         len(_int64_view(views[DELTA_DEL_SECTIONS[0]], DELTA_DEL_SECTIONS[0]))
-        for _, views, _ in deltas
+        for _, views in deltas
         if DELTA_DEL_SECTIONS[0] in views
     )
     s_rows, p_rows, o_rows = _expanded_rows(store)
@@ -445,7 +407,7 @@ def _apply_deltas(
         # final columns are a plain concatenation.
         if np is not None:
             parts = [[np.asarray(s_rows)], [np.asarray(p_rows)], [np.asarray(o_rows)]]
-            for _, views, _ in deltas:
+            for _, views in deltas:
                 for part, column in zip(parts, _delta_columns(views, DELTA_ADD_SECTIONS)):
                     part.append(np.asarray(column))
             s_rows, p_rows, o_rows = (np.concatenate(part) for part in parts)
@@ -455,7 +417,7 @@ def _apply_deltas(
                 array("q", p_rows),
                 array("q", o_rows),
             )
-            for _, views, _ in deltas:
+            for _, views in deltas:
                 adds = _delta_columns(views, DELTA_ADD_SECTIONS)
                 s_rows.extend(adds[0])
                 p_rows.extend(adds[1])
@@ -465,7 +427,7 @@ def _apply_deltas(
             current = set(zip(s_rows.tolist(), p_rows.tolist(), o_rows.tolist()))
         else:
             current = set(zip(s_rows, p_rows, o_rows))
-        for _, views, _ in deltas:
+        for _, views in deltas:
             dels = _delta_columns(views, DELTA_DEL_SECTIONS)
             for row in zip(*dels):
                 if row not in current:
@@ -491,8 +453,8 @@ def _apply_deltas(
             f"Delta chain replays to {len(replayed)} triples, "
             f"the last delta recorded {expected}"
         )
-    # The dictionary's views may alias the base buffer; keep it (and the
-    # delta buffers cost nothing — extend_tail copied what it needed).
+    # The dictionary's views may alias the base buffer; keep it (the
+    # delta columns were copied into the rebuilt indexes).
     replayed._snapshot_retained = store._snapshot_retained
     return replayed
 
@@ -583,16 +545,25 @@ def open_store(
     (same structures, no page-cache dependence).  ``verify=False`` skips
     the per-section CRC pass (structural checks still run).
 
-    Deltas appended by :func:`save_store_delta` replay transparently:
-    for a ``store`` container the consecutive ``<path>.d1, .d2, ...``
-    siblings are discovered automatically; sharded opens pass the
-    manifest's per-shard delta files via ``_delta_paths`` (and the shard
-    base file's term count via ``_expected_terms``, since the shared
-    dictionary has already grown past it).
+    Sharded opens pass the manifest's per-shard delta files via
+    ``_delta_paths`` (and the shard base file's term count via
+    ``_expected_terms``, since the shared dictionary has already grown
+    past it); those deltas replay transparently.  A single-file snapshot
+    with a ``<path>.d1`` sibling was extended by the retired single-file
+    delta chain, which this reader no longer replays: it is refused
+    rather than silently opened at its base state.
     """
     from repro.store.triplestore import TripleStore
 
     path = Path(path)
+    if _kind == KIND_STORE:
+        leftover = path.with_name(path.name + ".d1")
+        if leftover.exists():
+            raise SnapshotCorruptError(
+                f"Snapshot {path} has a single-file delta chain ({leftover}) "
+                f"that is no longer replayed; reopen it with the release "
+                f"that wrote it and save() a full snapshot"
+            )
     buffer = _load_buffer(path, use_mmap=mmap)
     header, sections = read_container(buffer, kind=_kind, verify=verify)
     if _dictionary is None:
@@ -617,149 +588,11 @@ def open_store(
         osp=indexes["osp"],
         retained=buffer,
     )
-    if _delta_paths is None and _kind == KIND_STORE:
-        _delta_paths = _scan_delta_paths(path)
     if _delta_paths:
         store = _apply_deltas(
-            store,
-            dictionary,
-            _delta_paths,
-            mmap=mmap,
-            verify=verify,
-            apply_terms=_dictionary is None,
-            base_chain=header.get("chain") if _dictionary is None else None,
+            store, dictionary, _delta_paths, mmap=mmap, verify=verify
         )
     return store
-
-
-# --------------------------------------------------------------------- #
-# Single-store delta chains
-# --------------------------------------------------------------------- #
-def _delta_path(path: Path, sequence: int) -> Path:
-    """The ``sequence``-th delta sibling of a single-file snapshot."""
-    return path.with_name(f"{path.name}.d{sequence}")
-
-
-def _scan_delta_paths(path: Path) -> List[Path]:
-    """The consecutive existing delta siblings of ``path`` (``.d1``,
-    ``.d2``, ... until the first gap — later files are unreachable)."""
-    paths: List[Path] = []
-    sequence = 1
-    while True:
-        candidate = _delta_path(path, sequence)
-        if not candidate.exists():
-            return paths
-        paths.append(candidate)
-        sequence += 1
-
-
-def _chain_state(path: Path, verify: bool = True) -> Tuple[int, int, int, int]:
-    """Walk the snapshot chain rooted at ``path``.
-
-    Returns ``(chain, terms, triples, next_sequence)`` describing the
-    state a reopen of ``path`` would reconstruct: the content stamp of
-    the last valid chain link, the term/triple counts it recorded, and
-    the sequence number the next delta should take.  Stale deltas (their
-    ``base_chain`` does not continue the chain — leftovers of a crashed
-    compact) terminate the walk exactly as :func:`_apply_deltas` would
-    ignore them.
-    """
-    buffer = _load_buffer(path, use_mmap=True)
-    header, _ = read_container(buffer, kind=KIND_STORE, verify=verify)
-    chain = header.get("chain")
-    terms = header.get("terms")
-    triples = header.get("triples")
-    sequence = 1
-    for delta in _scan_delta_paths(path):
-        delta_header, _ = read_container(
-            _load_buffer(delta, use_mmap=True), kind=KIND_DELTA, verify=verify
-        )
-        if delta_header.get("base_chain") != chain:
-            break
-        chain = delta_header.get("chain")
-        terms = delta_header.get("terms")
-        triples = delta_header.get("triples")
-        sequence += 1
-    return chain, terms, triples, sequence
-
-
-def save_store_delta(store, path: Union[str, Path]) -> bool:
-    """Append the store's journal as one delta next to its base snapshot.
-
-    The delta records only the terms interned since the chain's tip and
-    the net added/removed ID triples, in the same checksummed container
-    format as a full save — orders of magnitude smaller than rewriting a
-    large store for a small mutation burst.  Returns ``False`` (writing
-    nothing) when the store state already matches the chain tip.
-
-    Raises :class:`~repro.errors.StoreError` when no base snapshot
-    exists at ``path``, the journal was lost (``clear()`` or overflow),
-    or the journal does not bridge the chain tip to the live state (the
-    base belongs to some other store) — callers fall back to a full
-    :func:`save_store`.
-    """
-    path = Path(path)
-    journal = store.journal
-    if journal is None:
-        raise StoreError(
-            "Mutation journal was lost (clear() or overflow); "
-            "a delta cannot capture the state — use save()"
-        )
-    if not path.exists():
-        raise StoreError(f"No base snapshot at {path} to append a delta to")
-    chain, base_terms, base_triples, sequence = _chain_state(path)
-    added, removed = journal
-    if not added and not removed and base_terms == len(store.dictionary):
-        return False
-    if (
-        not isinstance(base_terms, int)
-        or not isinstance(base_triples, int)
-        or base_terms > len(store.dictionary)
-        or base_triples + len(added) - len(removed) != len(store)
-    ):
-        raise StoreError(
-            f"Journal ({len(added)} added, {len(removed)} removed) does not "
-            f"bridge the snapshot chain at {path} ({base_triples} triples, "
-            f"{base_terms} terms) to the live store ({len(store)} triples, "
-            f"{len(store.dictionary)} terms) — use save()"
-        )
-    sections = delta_term_sections(store.dictionary, base_terms)
-    sections.extend(delta_triple_sections(added, removed))
-    write_container(
-        _delta_path(path, sequence),
-        kind=KIND_DELTA,
-        name=store.name,
-        sections=sections,
-        triples=len(store),
-        terms=len(store.dictionary),
-        extra={
-            "base_chain": chain,
-            "base_terms": base_terms,
-            "base_triples": base_triples,
-            "added": len(added),
-            "removed": len(removed),
-            "sequence": sequence,
-        },
-    )
-    store.reset_journal()
-    return True
-
-
-def compact_store(store, path: Union[str, Path]) -> None:
-    """Fold the delta chain at ``path`` into a fresh base snapshot.
-
-    Writes the store's full current state as the new base (atomically
-    replacing the old one) and unlinks the now-folded delta files.  A
-    crash between the two steps is safe: the leftover deltas no longer
-    continue the new base's ``chain`` stamp, so reopen ignores them.
-    """
-    path = Path(path)
-    save_store(store, path)
-    for delta in _scan_delta_paths(path):
-        try:
-            delta.unlink()
-        except OSError:  # pragma: no cover - concurrent sweep
-            pass
 
 
 # --------------------------------------------------------------------- #
@@ -803,6 +636,44 @@ def _previous_manifest(store, directory: Path) -> Optional[dict]:
     ):
         return None
     return previous
+
+
+def _write_manifest(
+    store,
+    directory: Path,
+    generation: int,
+    dictionary_name: str,
+    dictionary_terms: int,
+    dictionary_deltas: List[str],
+    shard_entries: List[dict],
+) -> None:
+    """Atomically replace the directory's self-checksummed manifest with
+    one describing ``store`` over the named payload files."""
+    body = {
+        "format": "repro-sharded-snapshot",
+        "version": VERSION,
+        "generation": generation,
+        "name": store.name,
+        "num_shards": store.num_shards,
+        "boundaries": list(store.boundaries),
+        "bounded": store._bounded,
+        "skew_threshold": store.skew_threshold,
+        # The one-shot skew latch travels with the snapshot: a dataset
+        # that already warned must not re-warn every time it is reopened
+        # (worker respawns and serve() restarts reopen constantly).
+        "skew_warned": bool(store._skew_warned),
+        "terms": len(store.dictionary),
+        "triples": len(store),
+        "dictionary": dictionary_name,
+        "dictionary_terms": dictionary_terms,
+        "dictionary_deltas": dictionary_deltas,
+        "shards": shard_entries,
+    }
+    body["crc32"] = zlib.crc32(_canonical_json(body).encode("utf-8"))
+    _atomic_write_bytes(
+        directory / MANIFEST_NAME,
+        (json.dumps(body, sort_keys=True, indent=2) + "\n").encode("utf-8"),
+    )
 
 
 def save_sharded_store(
@@ -910,30 +781,14 @@ def save_sharded_store(
             triples=len(shard),
             terms=terms,
         )
-    body = {
-        "format": "repro-sharded-snapshot",
-        "version": VERSION,
-        "generation": generation,
-        "name": store.name,
-        "num_shards": store.num_shards,
-        "boundaries": list(store.boundaries),
-        "bounded": store._bounded,
-        "skew_threshold": store.skew_threshold,
-        # The one-shot skew latch travels with the snapshot: a dataset
-        # that already warned must not re-warn every time it is reopened
-        # (worker respawns and serve() restarts reopen constantly).
-        "skew_warned": bool(store._skew_warned),
-        "terms": terms,
-        "triples": len(store),
-        "dictionary": dictionary_name,
-        "dictionary_terms": dictionary_terms,
-        "dictionary_deltas": dictionary_deltas,
-        "shards": shard_entries,
-    }
-    body["crc32"] = zlib.crc32(_canonical_json(body).encode("utf-8"))
-    _atomic_write_bytes(
-        directory / MANIFEST_NAME,
-        (json.dumps(body, sort_keys=True, indent=2) + "\n").encode("utf-8"),
+    _write_manifest(
+        store,
+        directory,
+        generation,
+        dictionary_name,
+        dictionary_terms,
+        dictionary_deltas,
+        shard_entries,
     )
     for shard, _ in rewritten:
         shard.reset_journal()
@@ -1056,27 +911,14 @@ def save_sharded_delta(store, directory: Union[str, Path]) -> bool:
             },
         )
         entry["deltas"].append(file_name)
-    body = {
-        "format": "repro-sharded-snapshot",
-        "version": VERSION,
-        "generation": generation,
-        "name": store.name,
-        "num_shards": store.num_shards,
-        "boundaries": list(store.boundaries),
-        "bounded": store._bounded,
-        "skew_threshold": store.skew_threshold,
-        "skew_warned": bool(store._skew_warned),
-        "terms": terms,
-        "triples": len(store),
-        "dictionary": previous["dictionary"],
-        "dictionary_terms": previous["dictionary_terms"],
-        "dictionary_deltas": dictionary_deltas,
-        "shards": shard_entries,
-    }
-    body["crc32"] = zlib.crc32(_canonical_json(body).encode("utf-8"))
-    _atomic_write_bytes(
-        directory / MANIFEST_NAME,
-        (json.dumps(body, sort_keys=True, indent=2) + "\n").encode("utf-8"),
+    _write_manifest(
+        store,
+        directory,
+        generation,
+        previous["dictionary"],
+        previous["dictionary_terms"],
+        dictionary_deltas,
+        shard_entries,
     )
     # Manifest durable; the journals it captured may now reset.  Orphans
     # of a crash before this point are swept by the next full save.

@@ -228,7 +228,8 @@ class TripleStore:
         # removed) ID-triple sets, or None once the journal is lost
         # (clear(), or more net changes than _JOURNAL_LIMIT) — a lost
         # journal forces the next snapshot to be a full save instead of a
-        # delta.  save()/open()/save_delta() reset it.
+        # delta.  Every snapshot point resets it: save() and open() here,
+        # and a sharded save()/save_delta() for the shard stores it owns.
         self._journal: Optional[Tuple[set, set]] = (set(), set())
         if triples is not None:
             self.bulk_load(triples)
@@ -340,27 +341,6 @@ class TripleStore:
         from repro.store.persist import save_store
 
         save_store(self, path)
-
-    def save_delta(self, path) -> bool:
-        """Append the mutations since the last snapshot point as a delta.
-
-        Writes only the terms interned since and the net added/removed ID
-        triples next to the base snapshot at ``path`` (see
-        :func:`repro.store.persist.save_store_delta`); :meth:`open`
-        replays the chain transparently.  Returns ``False`` when there is
-        nothing to write.  Raises :class:`~repro.errors.StoreError` when
-        no base snapshot exists or the journal was lost (``clear()`` or
-        overflow) — fall back to :meth:`save` then.
-        """
-        from repro.store.persist import save_store_delta
-
-        return save_store_delta(self, path)
-
-    def compact(self, path) -> None:
-        """Fold the delta chain at ``path`` into a fresh base snapshot."""
-        from repro.store.persist import compact_store
-
-        compact_store(self, path)
 
     @classmethod
     def open(cls, path, mmap: bool = True, verify: bool = True) -> "TripleStore":

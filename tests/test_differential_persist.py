@@ -8,7 +8,9 @@ representation serves it:
   cross-checked against the naive nested-loop path elsewhere);
 * the store saved to a snapshot and reopened cold via ``mmap``;
 * sharded stores at 1, 2 and 8 shards, saved and reopened cold through
-  the scatter/gather evaluator.
+  the scatter/gather evaluator;
+* 1- and 2-shard stores saved at half the data, delta-saved after the
+  rest arrives and reopened, both as a delta chain and compacted.
 
 The workload covers BGP joins, OPTIONAL, UNION, ASK, LIMIT, COUNT /
 COUNT DISTINCT and VALUES (with UNDEF rows).  LIMIT pages may differ
@@ -107,39 +109,31 @@ def _reopened_evaluators(triples):
             )
         )
     # The same dataset arriving as base + mutation burst must replay
-    # (delta chain) and fold (compact) to identical answers.
+    # (delta chain) and fold (compact) to identical answers, both for a
+    # single partition and across a shard boundary.
     half = len(triples) // 2
-    chained = TripleStore(triples=triples[:half])
-    chained.save(tmp / "chain.snap")
-    for triple in triples[half:]:
-        chained.add(triple)
-    chained.save_delta(tmp / "chain.snap")
-    evaluators.append(
-        ("delta-replay", QueryEvaluator(TripleStore.open(tmp / "chain.snap")))
-    )
-    chained.compact(tmp / "chain.snap")
-    evaluators.append(
-        ("compacted", QueryEvaluator(TripleStore.open(tmp / "chain.snap")))
-    )
-    sharded_chain = ShardedTripleStore(num_shards=2, triples=iter(triples[:half]))
-    chain_dir = tmp / "chain-shards2"
-    sharded_chain.save(chain_dir)
-    for triple in triples[half:]:
-        sharded_chain.add(triple)
-    sharded_chain.save_delta(chain_dir)
-    evaluators.append(
-        (
-            "delta-shards2",
-            ShardedQueryEvaluator(ShardedTripleStore.open(chain_dir)),
+    for count in (1, 2):
+        sharded_chain = ShardedTripleStore(
+            num_shards=count, triples=iter(triples[:half])
         )
-    )
-    sharded_chain.compact(chain_dir)
-    evaluators.append(
-        (
-            "compacted-shards2",
-            ShardedQueryEvaluator(ShardedTripleStore.open(chain_dir)),
+        chain_dir = tmp / f"chain-shards{count}"
+        sharded_chain.save(chain_dir)
+        for triple in triples[half:]:
+            sharded_chain.add(triple)
+        sharded_chain.save_delta(chain_dir)
+        evaluators.append(
+            (
+                f"delta-shards{count}",
+                ShardedQueryEvaluator(ShardedTripleStore.open(chain_dir)),
+            )
         )
-    )
+        sharded_chain.compact(chain_dir)
+        evaluators.append(
+            (
+                f"compacted-shards{count}",
+                ShardedQueryEvaluator(ShardedTripleStore.open(chain_dir)),
+            )
+        )
     return evaluators
 
 

@@ -1,22 +1,30 @@
-"""Snapshot delta chains: append-only persistence for mutation bursts.
+"""Sharded snapshot delta chains: append-only persistence for mutation
+bursts.
 
-``save_delta`` writes only the terms interned since the chain tip plus
-the net added/removed ID triples; ``open`` replays the chain
-transparently and ``compact`` folds it back into a fresh base.  These
-tests pin the crash-safety contracts: stale deltas of a crashed compact
-are ignored via the ``base_chain`` stamp (single-file chains), while the
-sharded directory's atomically-replaced manifest is the sole authority
-over which delta files apply.
+``ShardedTripleStore.save_delta`` writes per-shard files holding only the
+net added/removed ID triples plus a dictionary tail for the terms
+interned since; ``open`` replays the chains transparently and
+``compact`` folds them back into fresh base files.  The directory's
+atomically replaced manifest is the sole authority over which delta
+files apply, which is what these tests pin down.
 """
+
+import json
+import zlib
 
 import pytest
 
-from repro.errors import StoreError
+from repro.errors import SnapshotCorruptError, StoreError
 from repro.rdf.namespace import Namespace
 from repro.rdf.triple import Triple
 from repro.shard.sharded_store import ShardedTripleStore
-from repro.store.persist import _read_manifest
-from repro.store.triplestore import TripleStore
+from repro.store.persist import (
+    KIND_DELTA,
+    _canonical_json,
+    _read_manifest,
+    delta_triple_sections,
+    write_container,
+)
 
 EX = Namespace("http://delta.test/")
 
@@ -37,113 +45,13 @@ def _burst(count, start=0, tag="new"):
     ]
 
 
-def _delta_files(path):
-    return sorted(
-        p.name for p in path.parent.iterdir() if p.name.startswith(path.name + ".d")
-    )
-
-
-class TestStoreDelta:
-    def test_delta_round_trip(self, tmp_path):
-        store = TripleStore(triples=_seed_triples())
-        path = tmp_path / "base.snap"
-        store.save(path)
-        for triple in _burst(30):
-            store.add(triple)
-        assert store.save_delta(path) is True
-        assert _delta_files(path) == ["base.snap.d1"]
-        assert set(TripleStore.open(path)) == set(store)
-
-    def test_multiple_deltas_chain(self, tmp_path):
-        store = TripleStore(triples=_seed_triples())
-        path = tmp_path / "base.snap"
-        store.save(path)
-        for round_number in range(3):
-            for triple in _burst(10, start=round_number * 100):
-                store.add(triple)
-            assert store.save_delta(path) is True
-        assert _delta_files(path) == [
-            "base.snap.d1",
-            "base.snap.d2",
-            "base.snap.d3",
-        ]
-        assert set(TripleStore.open(path)) == set(store)
-
-    def test_removal_delta_round_trips(self, tmp_path):
-        triples = _seed_triples()
-        store = TripleStore(triples=triples)
-        path = tmp_path / "base.snap"
-        store.save(path)
-        for triple in triples[:10]:
-            store.remove(triple)
-        store.add(Triple(EX.zz_fresh, EX.p0, EX.o0))
-        assert store.save_delta(path) is True
-        reopened = TripleStore.open(path)
-        assert set(reopened) == set(store)
-        assert len(reopened) == len(triples) - 10 + 1
-
-    def test_clean_store_writes_nothing(self, tmp_path):
-        store = TripleStore(triples=_seed_triples())
-        path = tmp_path / "base.snap"
-        store.save(path)
-        assert store.save_delta(path) is False
-        assert _delta_files(path) == []
-
-    def test_delta_without_base_raises(self, tmp_path):
-        store = TripleStore(triples=_seed_triples())
-        store.add(Triple(EX.zz, EX.p0, EX.o0))
-        with pytest.raises(StoreError):
-            store.save_delta(tmp_path / "never-saved.snap")
-
-    def test_lost_journal_raises(self, tmp_path):
-        store = TripleStore(triples=_seed_triples())
-        path = tmp_path / "base.snap"
-        store.save(path)
-        store.clear()  # drops the journal
-        store.add(Triple(EX.zz, EX.p0, EX.o0))
-        with pytest.raises(StoreError):
-            store.save_delta(path)
-
-    def test_foreign_base_raises(self, tmp_path):
-        TripleStore(triples=_seed_triples()).save(tmp_path / "base.snap")
-        other = TripleStore(
-            triples=[Triple(EX.alien, EX.p0, EX[f"o{i}"]) for i in range(5)]
-        )
-        other.add(Triple(EX.zz, EX.p0, EX.o0))
-        with pytest.raises(StoreError):
-            other.save_delta(tmp_path / "base.snap")
-
-    def test_compact_folds_chain(self, tmp_path):
-        store = TripleStore(triples=_seed_triples())
-        path = tmp_path / "base.snap"
-        store.save(path)
-        for round_number in range(2):
-            for triple in _burst(10, start=round_number * 100):
-                store.add(triple)
-            store.save_delta(path)
-        store.compact(path)
-        assert _delta_files(path) == []
-        assert set(TripleStore.open(path)) == set(store)
-        # The compacted base is a fresh chain tip: new deltas keep working.
-        store.add(Triple(EX.zz_after, EX.p0, EX.o0))
-        assert store.save_delta(path) is True
-        assert set(TripleStore.open(path)) == set(store)
-
-    def test_stale_delta_after_crashed_compact_is_ignored(self, tmp_path):
-        store = TripleStore(triples=_seed_triples())
-        path = tmp_path / "base.snap"
-        store.save(path)
-        for triple in _burst(10):
-            store.add(triple)
-        store.save_delta(path)
-        # Simulate a compact that crashed between writing the new base
-        # and unlinking the folded delta: the old .d1 survives but its
-        # base_chain no longer continues the new base's chain stamp.
-        stale = (path.parent / "base.snap.d1").read_bytes()
-        store.compact(path)
-        (path.parent / "base.snap.d1").write_bytes(stale)
-        reopened = TripleStore.open(path)
-        assert set(reopened) == set(store)
+def _rewrite_manifest(directory, edit):
+    """Apply ``edit`` to the manifest body and re-seal its checksum."""
+    body = json.loads((directory / "manifest.json").read_text())
+    body.pop("crc32")
+    edit(body)
+    body["crc32"] = zlib.crc32(_canonical_json(body).encode("utf-8"))
+    (directory / "manifest.json").write_text(json.dumps(body))
 
 
 class TestShardedDelta:
@@ -226,6 +134,10 @@ class TestShardedDelta:
         # Folded chain files were swept with the manifest replacement.
         assert not any("-d1-" in p.name for p in directory.iterdir())
         assert set(ShardedTripleStore.open(directory)) == set(store)
+        # The compacted files are a fresh chain base: new deltas append.
+        store.add(Triple(EX.zz_after, EX.p0, EX.o0))
+        assert store.save_delta(directory) is True
+        assert set(ShardedTripleStore.open(directory)) == set(store)
 
     def test_orphan_delta_files_are_ignored(self, tmp_path):
         # A crash after writing a delta file but before the manifest
@@ -257,18 +169,160 @@ class TestShardedDelta:
     def test_legacy_manifest_still_opens(self, tmp_path):
         # Pre-delta manifests listed bare shard file names and knew
         # nothing of chains; normalisation must keep them opening.
-        import json
-        import zlib
-
-        from repro.store.persist import _canonical_json
-
         store, directory = self._saved_store(tmp_path)
-        body = json.loads((directory / "manifest.json").read_text())
-        body.pop("crc32")
-        body["shards"] = [entry["file"] for entry in body["shards"]]
-        body.pop("dictionary_terms")
-        body.pop("dictionary_deltas")
-        body["crc32"] = zlib.crc32(_canonical_json(body).encode("utf-8"))
-        (directory / "manifest.json").write_text(json.dumps(body))
+
+        def legacy(body):
+            body["shards"] = [entry["file"] for entry in body["shards"]]
+            body.pop("dictionary_terms")
+            body.pop("dictionary_deltas")
+
+        _rewrite_manifest(directory, legacy)
         reopened = ShardedTripleStore.open(directory)
         assert set(reopened) == set(store)
+
+    def test_removal_delta_round_trips(self, tmp_path):
+        store, directory = self._saved_store(tmp_path)
+        seed = _seed_triples()
+        for triple in seed[:10]:
+            store.remove(triple)
+        store.add(Triple(EX.zz_fresh, EX.p0, EX.o0))
+        assert store.save_delta(directory) is True
+        reopened = ShardedTripleStore.open(directory)
+        assert set(reopened) == set(store)
+        assert len(reopened) == len(seed) - 10 + 1
+
+    def test_lost_journal_raises(self, tmp_path):
+        store, directory = self._saved_store(tmp_path)
+        store.clear()  # drops every shard's journal
+        store.add(Triple(EX.zz, EX.p0, EX.o0))
+        with pytest.raises(StoreError, match="journal was lost"):
+            store.save_delta(directory)
+
+    def test_delta_removing_an_absent_triple_is_corrupt(self, tmp_path):
+        # A manifest-named delta whose del/* columns list a triple the
+        # shard never held cannot describe this chain: replay must refuse
+        # rather than report a state that was never saved.
+        store, directory = self._saved_store(tmp_path)
+        shard = store.shards[0]
+        name = "shard0-d1-g1.snap"
+        write_container(
+            directory / name,
+            kind=KIND_DELTA,
+            name=shard.name,
+            sections=delta_triple_sections([], [(10**6, 10**6, 10**6)]),
+            triples=len(shard) - 1,
+            terms=len(store.dictionary),
+            extra={"added": 0, "removed": 1, "sequence": 1},
+        )
+
+        def name_the_delta(body):
+            body["shards"][0]["deltas"] = [name]
+            body["triples"] -= 1
+
+        _rewrite_manifest(directory, name_the_delta)
+        with pytest.raises(SnapshotCorruptError, match="never held"):
+            ShardedTripleStore.open(directory)
+
+
+class TestSinglePartitionDelta:
+    """The single-partition case of the one delta mechanism.
+
+    Incremental snapshots exist only in sharded directories, so a user
+    who wants one partition runs ``ShardedTripleStore(num_shards=1)``.
+    These tests pin the chain contracts for that configuration.
+    """
+
+    def _saved_store(self, tmp_path):
+        store = ShardedTripleStore(num_shards=1)
+        store.bulk_load(_seed_triples())
+        directory = tmp_path / "one"
+        store.save(directory)
+        return store, directory
+
+    def test_delta_round_trip(self, tmp_path):
+        store, directory = self._saved_store(tmp_path)
+        before = {p.name for p in directory.iterdir()}
+        for triple in _burst(30):
+            store.add(triple)
+        assert store.save_delta(directory) is True
+        added = {p.name for p in directory.iterdir()} - before
+        assert added == {"shard0-d1-g1.snap", "dictionary-d1-g1.snap"}
+        assert set(ShardedTripleStore.open(directory)) == set(store)
+
+    def test_multiple_deltas_chain(self, tmp_path):
+        store, directory = self._saved_store(tmp_path)
+        for round_number in range(3):
+            for triple in _burst(10, start=round_number * 100):
+                store.add(triple)
+            assert store.save_delta(directory) is True
+        manifest = _read_manifest(directory)
+        assert manifest["shards"][0]["deltas"] == [
+            "shard0-d1-g1.snap",
+            "shard0-d2-g1.snap",
+            "shard0-d3-g1.snap",
+        ]
+        assert len(manifest["dictionary_deltas"]) == 3
+        reopened = ShardedTripleStore.open(directory)
+        assert set(reopened) == set(store)
+        assert len(reopened) == len(store)
+
+    def test_clean_store_writes_nothing(self, tmp_path):
+        store, directory = self._saved_store(tmp_path)
+        before = {p.name for p in directory.iterdir()}
+        assert store.save_delta(directory) is False
+        assert {p.name for p in directory.iterdir()} == before
+
+    def test_delta_without_base_raises(self, tmp_path):
+        store = ShardedTripleStore(num_shards=1)
+        store.bulk_load(_seed_triples())
+        store.add(Triple(EX.zz, EX.p0, EX.o0))
+        with pytest.raises(StoreError, match="use save"):
+            store.save_delta(tmp_path / "never-saved")
+
+    def test_foreign_base_raises(self, tmp_path):
+        _, directory = self._saved_store(tmp_path)
+        other = ShardedTripleStore(num_shards=1)
+        other.bulk_load([Triple(EX.alien, EX.p0, EX[f"o{i}"]) for i in range(5)])
+        other.add(Triple(EX.zz, EX.p0, EX.o0))
+        before = _read_manifest(directory)
+        with pytest.raises(StoreError, match="use save"):
+            other.save_delta(directory)
+        assert _read_manifest(directory) == before
+
+    def test_compact_folds_chain(self, tmp_path):
+        store, directory = self._saved_store(tmp_path)
+        for round_number in range(2):
+            for triple in _burst(10, start=round_number * 100):
+                store.add(triple)
+            assert store.save_delta(directory) is True
+        store.compact(directory)
+        manifest = _read_manifest(directory)
+        assert manifest["shards"][0]["deltas"] == []
+        assert manifest["dictionary_deltas"] == []
+        assert not any("-d" in p.name for p in directory.iterdir())
+        assert set(ShardedTripleStore.open(directory)) == set(store)
+        # The compacted files are a fresh chain base: new deltas append.
+        store.add(Triple(EX.zz_after, EX.p0, EX.o0))
+        assert store.save_delta(directory) is True
+        assert set(ShardedTripleStore.open(directory)) == set(store)
+
+    def test_stale_delta_after_crashed_compact_is_ignored(self, tmp_path):
+        store, directory = self._saved_store(tmp_path)
+        for triple in _burst(10):
+            store.add(triple)
+        assert store.save_delta(directory) is True
+        # Simulate a compact that crashed after replacing the manifest but
+        # before sweeping the folded chain: the old delta files survive,
+        # and the manifest no longer names them.
+        stale = {
+            p.name: p.read_bytes()
+            for p in directory.iterdir()
+            if "-d1-" in p.name
+        }
+        assert stale
+        store.compact(directory)
+        for name, payload in stale.items():
+            (directory / name).write_bytes(payload)
+        reopened = ShardedTripleStore.open(directory)
+        assert set(reopened) == set(store)
+        assert len(reopened) == len(store)

@@ -264,6 +264,19 @@ class TestCorruption:
         with pytest.raises(SnapshotCorruptError):
             TripleStore.open(dict_only)
 
+    def test_leftover_single_file_delta_chain_is_refused(
+        self, tmp_path, snapshot_path
+    ):
+        # Single-file snapshots no longer carry delta chains; a leftover
+        # ``.d1`` sibling means the file alone is not the saved state, so
+        # opening must fail loudly instead of returning the stale base.
+        sibling = snapshot_path.with_name(snapshot_path.name + ".d1")
+        sibling.write_bytes(b"delta written by an older release")
+        with pytest.raises(SnapshotCorruptError, match=r"store\.snap\.d1"):
+            TripleStore.open(snapshot_path)
+        sibling.unlink()
+        assert len(TripleStore.open(snapshot_path)) > 0
+
     def test_verify_false_skips_checksums_not_structure(
         self, tmp_path, snapshot_path
     ):
