@@ -6,8 +6,8 @@ reopens it *cold* — no re-interning, no re-sorting — and shows that
 * opening is orders of magnitude faster than rebuilding the store,
 * the very first planned query works on the cold store (the planner and
   join operators read the same index bookkeeping off the mmap'd columns),
-* the first mutation transparently promotes the store back to the
-  writable in-memory form,
+* the first mutation transparently thaws the store back to the
+  writable in-memory form (new terms take the IDs after the snapshot's),
 
 then does the same for a sharded store (one shared dictionary file, one
 columns file per shard).
@@ -64,7 +64,7 @@ def main() -> None:
     print(f"cold store: COUNT({relation.local_name}) = {count} "
           f"(frozen={cold.is_frozen})")
 
-    # First mutation promotes transparently (copy-on-write, the file is
+    # First mutation thaws transparently (copy-on-write, the file is
     # never touched).
     subject = next(iter(cold.subjects()))
     cold.add(Triple(subject, relation, Literal("new fact")))

@@ -82,14 +82,14 @@ def main() -> None:
             "(scales with cores; see BENCH_proc.json)"
         )
 
-        # Worker diagnostics: one process per shard, nothing promoted,
+        # Worker diagnostics: one process per shard, nothing interned,
         # every shard index still frozen — queries crossed the process
         # boundary as serialized ID-binding batches, not as objects.
         for info in endpoint.executor.ping_all():
             print(
                 f"  worker {info['worker']} pid={info['pid']} "
                 f"shards={info['shards']} "
-                f"promoted={info['promoted']} "
+                f"interned={info['interned']} "
                 f"tasks={info['tasks_served']}"
             )
 

@@ -98,7 +98,7 @@ class KnowledgeBase:
 
         The store comes back cold (mmap-backed by default): queries,
         endpoints and the relation catalogue work immediately without a
-        rebuild, and the first mutation promotes the store transparently.
+        rebuild, and the first mutation thaws the store transparently.
         """
         directory = Path(directory)
         try:

@@ -59,7 +59,10 @@ class IRI:
             raise RDFError(f"IRI value must be a string, got {type(value).__name__}")
         if not value:
             raise RDFError("IRI value must not be empty")
-        if any(ch in value for ch in ("<", ">", '"', " ", "\n", "\t")):
+        # Plain substring scans run in C: every term decoded from a
+        # snapshot passes through here.
+        if ("<" in value or ">" in value or '"' in value
+                or " " in value or "\n" in value or "\t" in value):
             raise RDFError(f"IRI contains forbidden characters: {value!r}")
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "_hash", hash(("IRI", value)))

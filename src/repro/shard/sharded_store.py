@@ -223,7 +223,7 @@ class ShardedTripleStore:
     ) -> "ShardedTripleStore":
         """Reopen a snapshot directory written by :meth:`save`.
 
-        All shards share one :class:`LazyTermDictionary` over the
+        All shards share one :class:`TermDictionary` based on the
         dictionary file, so the reopened store has exactly the saved ID
         space; boundaries and the bounded flag are restored from the
         manifest, making routing decisions identical to the saved store.
@@ -742,7 +742,11 @@ class ShardedTripleStore:
         return inserted
 
     def remove(self, triple: Triple) -> bool:
-        """Remove a triple from its owning shard."""
+        """Remove a triple from its owning shard.  Returns ``True`` if it
+        was present (``False`` for a non-Triple, like
+        :meth:`TripleStore.remove`)."""
+        if not isinstance(triple, Triple):
+            return False
         sid = self._dictionary.id_for(triple.subject)
         if sid is None:
             return False

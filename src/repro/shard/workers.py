@@ -6,7 +6,7 @@ pipelines serialise on one core.  This module lifts evaluation out of a
 single interpreter.  A :class:`ProcessShardExecutor` spawns one worker
 process per shard (a smaller ``pool_size`` makes workers serve several
 shards each); every worker **mmap-opens** its shard's snapshot columns
-plus the shared lazy dictionary straight from the snapshot directory —
+plus the shared dictionary file straight from the snapshot directory —
 no store is pickled across the process boundary and nothing is
 re-interned, so worker-side dictionary IDs are byte-for-byte the
 parent's and binding batches can travel as plain integers.
@@ -249,16 +249,17 @@ def _restrict_solutions(
         yield row
 
 
-def _worker_diagnostics(worker_index, stores, dictionary, tasks_served) -> dict:
+def _worker_diagnostics(worker_index, stores, interned, tasks_served) -> dict:
     """The payload of a ``pong`` reply: liveness plus the invariants the
-    no-re-intern property tests assert (lazy dictionary never promoted,
-    shard indexes never thawed copy-on-write)."""
+    no-re-intern property tests assert (no term ``interned`` past the
+    snapshot's — that would fork the ID space — and shard indexes never
+    thawed copy-on-write)."""
     return {
         "pid": os.getpid(),
         "worker": worker_index,
         "shards": sorted(stores),
         "triples": {index: len(store) for index, store in stores.items()},
-        "promoted": bool(getattr(dictionary, "is_promoted", True)),
+        "interned": interned,
         "frozen": {index: store.is_frozen for index, store in stores.items()},
         "tasks_served": tasks_served,
     }
@@ -286,7 +287,7 @@ def shard_worker_main(
     from repro.store.persist import open_shard_stores
 
     try:
-        stores, dictionary, _ = open_shard_stores(
+        stores, dictionary, manifest = open_shard_stores(
             directory, shard_indices, mmap=True, verify=verify
         )
         evaluators = {
@@ -328,7 +329,8 @@ def shard_worker_main(
         if kind == "ping":
             result_queue.put(
                 (task_id, "pong",
-                 _worker_diagnostics(worker_index, stores, dictionary,
+                 _worker_diagnostics(worker_index, stores,
+                                     len(dictionary) - manifest["terms"],
                                      tasks_served))
             )
             continue
@@ -1209,9 +1211,10 @@ class ProcessShardExecutor:
         """Round-trip a health probe through the worker owning a shard.
 
         Returns the worker's diagnostics: pid, served shards, per-shard
-        triple counts, whether its lazy dictionary was ever promoted and
-        whether any shard index thawed copy-on-write (both must stay
-        ``False`` on a healthy read-only worker).
+        triple counts, how many terms its dictionary interned past the
+        snapshot's (``interned``, which must stay 0) and whether any shard
+        index thawed copy-on-write (which must stay ``False``) on a
+        healthy read-only worker.
         """
         stream = self._dispatch(shard_index, "ping")
         deadline = time.monotonic() + timeout

@@ -46,17 +46,17 @@ from the POS permutation plus dictionary kind bytes.
 Persistence (:mod:`repro.store.persist`) adds a second, on-disk
 representation of layers 1 and 2: a versioned, checksummed snapshot that
 ``TripleStore.save`` writes and ``TripleStore.open`` maps back in
-read-only — the dictionary becomes a lazily decoding
-:class:`LazyTermDictionary` over the string heap and each index order a
+read-only — the dictionary becomes a :class:`TermDictionary` whose
+base is the string heap, decoded on demand, and each index order a
 :class:`FrozenIdIndex` over mmap'd CSR columns, so reopening skips the
-re-intern/re-sort rebuild entirely and the first mutation promotes the
-store back to the writable form.  A single-file snapshot is always a full
+re-intern/re-sort rebuild entirely and the first mutation thaws the
+indexes back to the writable form.  A single-file snapshot is always a full
 rewrite; incremental delta chains exist only in sharded snapshot
 directories (``ShardedTripleStore.save_delta``, one shard for a
 single-partition store), whose manifest names the files that apply.
 """
 
-from repro.store.dictionary import LazyTermDictionary, TermDictionary
+from repro.store.dictionary import TermDictionary
 from repro.store.triplestore import TripleStore
 from repro.store.index import ColumnView, FrozenIdIndex, IdTripleIndex
 from repro.store.stats import PredicateStatistics, StoreStatistics
@@ -65,7 +65,6 @@ from repro.store.bulk import load_ntriples_file, load_triples
 __all__ = [
     "TripleStore",
     "TermDictionary",
-    "LazyTermDictionary",
     "IdTripleIndex",
     "FrozenIdIndex",
     "ColumnView",

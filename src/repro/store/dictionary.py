@@ -15,19 +15,21 @@ Snapshot support (:mod:`repro.store.persist`) serialises a dictionary as a
 **string heap + offset table**: every term is encoded to a self-delimiting
 byte record (:func:`encode_term_record`), the records are concatenated in
 ID order, and an ``int64`` offset table of ``n + 1`` entries marks the
-record boundaries.  :class:`LazyTermDictionary` reopens that layout without
-re-interning anything: ``decode`` parses one record on demand (memoising
-per ID) and ``id_for`` binary-searches a precomputed record-sorted ID
-permutation, so a cold-opened store resolves query constants in
-O(log n) record probes instead of paying an O(n) dictionary rebuild.  The
-first *interning* call promotes the lazy dictionary to the fully writable
-form transparently.
+record boundaries.  A dictionary reopened over that layout keeps it as
+its read-only *base* instead of re-interning anything: ``decode`` parses
+one record on demand (memoising per ID) and a term is found by
+binary-searching the precomputed record-sorted ID permutation, so a
+cold-opened store resolves query constants in O(log n) record probes
+instead of paying an O(n) dictionary rebuild.  Terms interned later take
+the next dense IDs past the base, with no rebuild either.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from struct import Struct
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import StoreError
 from repro.rdf.terms import BlankNode, IRI, Literal, Term
@@ -45,9 +47,9 @@ _LIT_DATATYPE = 2
 
 _U32 = Struct("<I")
 
-#: Entries allowed in a lazy dictionary's id_for memo before it is
-#: dropped and rebuilt — bounds the memory of long-lived read-only cold
-#: stores probed with ever-new constants (misses are memoised too).
+#: Entries allowed in a dictionary's memo of base-search misses before it
+#: is dropped and rebuilt — bounds the memory of long-lived read-only cold
+#: stores probed with ever-new constants.
 _ID_CACHE_LIMIT = 65536
 
 
@@ -88,8 +90,7 @@ def encode_term_record(term: Term) -> bytes:
 def decode_term_record(record) -> Term:
     """Rebuild the term encoded by :func:`encode_term_record`.
 
-    Accepts any bytes-like object (a ``memoryview`` slice of the mmap'd
-    heap on the lazy decode path).
+    Accepts any bytes-like object.
     """
     record = bytes(record)
     if not record:
@@ -116,18 +117,18 @@ def decode_term_record(record) -> Term:
 class _InternMap(dict):
     """A ``Term -> ID`` dict that interns unknown terms on subscript miss.
 
-    Lookups of already-interned terms — the overwhelming majority during
+    Lookups of already-resolved terms — the overwhelming majority during
     bulk loads — stay entirely in C (`dict.__getitem__`); only a genuine
-    miss drops into :meth:`__missing__` to assign the next dense ID and
-    record the term and its kind byte.
+    miss drops into :meth:`__missing__`, which keeps a snapshot-base term
+    on its record ID and otherwise assigns the next dense ID and records
+    the term and its kind byte.
     """
 
-    __slots__ = ("_terms", "_kinds")
+    __slots__ = ("_dictionary",)
 
-    def __init__(self, terms: List[Term], kinds: bytearray):
+    def __init__(self, dictionary: "TermDictionary"):
         super().__init__()
-        self._terms = terms
-        self._kinds = kinds
+        self._dictionary = dictionary
 
     def __missing__(self, term: Term) -> int:
         if isinstance(term, IRI):
@@ -138,10 +139,13 @@ class _InternMap(dict):
             kind = KIND_BLANK
         else:
             raise StoreError(f"Cannot intern non-term value: {term!r}")
-        tid = len(self._terms)
+        dictionary = self._dictionary
+        tid = dictionary._base_id(term) if dictionary._base_count else None
+        if tid is None:
+            tid = len(dictionary._terms)
+            dictionary._terms.append(term)
+            dictionary._kinds.append(kind)
         self[term] = tid
-        self._terms.append(term)
-        self._kinds.append(kind)
         return tid
 
 
@@ -152,23 +156,73 @@ class TermDictionary:
     assigned the next free ID.  The reverse direction (:meth:`decode`) is a
     list lookup.  A per-ID kind byte answers "is this a literal/entity?"
     without materialising the term — the statistics layer relies on this.
+
+    A dictionary reopened from a snapshot keeps the four snapshot
+    sections as a read-only **base** holding IDs ``0 .. n-1`` (a fresh
+    dictionary has an empty one): ``heap``/``offsets`` delimit the term
+    records in ID order, ``kinds`` holds one kind byte per ID and
+    ``lookup`` is the ID permutation sorted by record bytes.  Opening is
+    O(1) in the number of terms (one ``None`` placeholder list and a copy
+    of the kind bytes aside).  A base record is parsed only when
+    :meth:`decode` first asks for it, and a term is found in the base by
+    an O(log n) binary search of ``lookup`` that compares raw record
+    bytes; found base terms are remembered in the interning map.  Terms
+    interned past the base (the **tail**) take the next dense IDs exactly
+    as in a fresh dictionary.
     """
 
-    __slots__ = ("_ids", "_terms", "_kinds")
+    __slots__ = (
+        "_ids",
+        "_terms",
+        "_kinds",
+        "_heap",
+        "_offsets",
+        "_lookup",
+        "_base_count",
+        "_misses",
+    )
 
-    def __init__(self) -> None:
-        self._terms: List[Term] = []
-        self._kinds = bytearray()
-        self._ids: _InternMap = _InternMap(self._terms, self._kinds)
+    def __init__(self, heap=b"", offsets=(0,), kinds=b"", lookup=()) -> None:
+        count = len(offsets) - 1
+        if count < 0 or len(kinds) != count or len(lookup) != count:
+            raise StoreError("Inconsistent dictionary snapshot sections")
+        self._heap = heap
+        self._offsets = offsets
+        self._lookup = lookup
+        self._base_count = count
+        self._terms: List[Optional[Term]] = [None] * count
+        self._kinds = bytearray(kinds)
+        self._ids = _InternMap(self)
+        # Memoised base-search misses: the SPARQL evaluator re-resolves a
+        # query's constants once per pattern probe, so without this every
+        # probe of an absent constant would repeat the record search.
+        self._misses: Set[Term] = set()
 
     def __len__(self) -> int:
         return len(self._terms)
 
     def __contains__(self, term: object) -> bool:
-        return term in self._ids
+        return self.id_for(term) is not None  # type: ignore[arg-type]
 
     def __repr__(self) -> str:
         return f"TermDictionary(size={len(self._terms)})"
+
+    def _record(self, tid: int) -> bytes:
+        """The snapshot record of base ID ``tid``."""
+        return bytes(self._heap[self._offsets[tid] : self._offsets[tid + 1]])
+
+    def _base_id(self, term: Term) -> Optional[int]:
+        """The base ID holding ``term``'s record (an O(log n) binary
+        search of ``lookup``); ``None`` if absent."""
+        try:
+            record = encode_term_record(term)
+        except StoreError:
+            return None  # non-term probe: the warm dict.get returns None too
+        lookup = self._lookup
+        position = bisect_left(lookup, record, key=self._record)
+        if position < len(lookup) and self._record(lookup[position]) == record:
+            return lookup[position]
+        return None
 
     # ------------------------------------------------------------------ #
     # Encoding
@@ -179,17 +233,62 @@ class TermDictionary:
 
     def id_for(self, term: Term) -> Optional[int]:
         """The ID of ``term`` without interning; ``None`` if unknown."""
-        return self._ids.get(term)
+        tid = self._ids.get(term)
+        if tid is None and self._base_count and term not in self._misses:
+            tid = self._base_id(term)
+            if tid is not None:
+                self._ids[term] = tid
+            else:
+                if len(self._misses) >= _ID_CACHE_LIMIT:
+                    self._misses.clear()  # memo only: costs re-probes, not answers
+                self._misses.add(term)
+        return tid
 
     @property
     def ids_map(self) -> Dict[Term, int]:
         """The raw interning ``Term -> ID`` mapping.
 
-        Exposed so hot paths can intern (subscript) or probe (``.get``)
-        without a method call per term.  Subscripting interns on miss;
-        callers must not mutate it any other way.
+        Exposed so hot paths can intern (subscript) without a method call
+        per term.  Subscripting interns on miss (a base term keeps its
+        record ID).  ``.get`` does not see base terms that were never
+        resolved, so probe with :meth:`id_for`; callers must not mutate
+        it any other way.
         """
         return self._ids
+
+    def extend(self, records: Sequence[bytes]) -> None:
+        """Intern snapshot term records past the current IDs, in order.
+
+        Each record takes the next dense ID — the one it held when it was
+        written — so a record repeating a known term, which would alias
+        that term's ID instead, raises :class:`StoreError`.  The base is
+        searched for the whole batch in one galloping pass over the
+        sorted records: O(k log(n/k)) record probes for ``k`` records,
+        and none for a record sorting into the gap the previous one
+        landed in (new entities of one namespace, say) — where one search
+        per record would cost log n.
+        """
+        terms = [decode_term_record(record) for record in records]
+        lookup, record_of = self._lookup, self._record
+        count, low, bound = len(lookup), 0, b""
+        for record in sorted(records) if count else ():
+            if record < bound or low == count:
+                continue  # below base record ``bound``, above its predecessor
+            high, step = low, 1
+            while high < count and record_of(lookup[high]) < record:
+                low, high, step = high + 1, high + step, step * 2
+            low = bisect_left(lookup, record, low, min(high, count), key=record_of)
+            if low < count:
+                bound = record_of(lookup[low])
+                if bound == record:
+                    raise StoreError(f"Term record repeats base term ID {lookup[low]}")
+        start = len(self._terms)
+        new_ids = dict(zip(terms, range(start, start + len(terms))))
+        if len(new_ids) != len(terms) or not self._ids.keys().isdisjoint(new_ids):
+            raise StoreError("Term records repeat a known term")
+        self._ids.update(new_ids)
+        self._terms.extend(terms)
+        self._kinds.extend(record[0] for record in records)
 
     def encode_triple(self, triple: Triple) -> Tuple[int, int, int]:
         """Intern all three positions of ``triple``."""
@@ -210,29 +309,30 @@ class TermDictionary:
         StoreError
             If ``tid`` was never assigned.
         """
-        try:
-            return self._terms[tid]
-        except IndexError:
-            raise StoreError(f"Unknown term ID: {tid}") from None
+        if not 0 <= tid < len(self._terms):
+            raise StoreError(f"Unknown term ID: {tid}")
+        term = self._terms[tid]
+        if term is None:
+            term = self._terms[tid] = decode_term_record(self._record(tid))
+        return term
 
     def decode_triple(self, ids: Tuple[int, int, int]) -> Triple:
         """Rebuild a :class:`Triple` from an ID triple."""
-        terms = self._terms
-        return Triple(terms[ids[0]], terms[ids[1]], terms[ids[2]])  # type: ignore[arg-type]
+        decode = self.decode
+        return Triple(decode(ids[0]), decode(ids[1]), decode(ids[2]))
 
     def terms(self) -> Iterator[Term]:
         """All interned terms, in ID order."""
-        return iter(self._terms)
+        return (self.decode(tid) for tid in range(len(self._terms)))
 
     # ------------------------------------------------------------------ #
     # Kind queries (no term materialisation)
     # ------------------------------------------------------------------ #
     def kind(self, tid: int) -> int:
         """The kind tag (:data:`KIND_IRI` / `KIND_BLANK` / `KIND_LITERAL`)."""
-        try:
-            return self._kinds[tid]
-        except IndexError:
-            raise StoreError(f"Unknown term ID: {tid}") from None
+        if not 0 <= tid < len(self._kinds):
+            raise StoreError(f"Unknown term ID: {tid}")
+        return self._kinds[tid]
 
     def is_literal_id(self, tid: int) -> bool:
         """Whether ``tid`` denotes a literal."""
@@ -251,266 +351,21 @@ class TermDictionary:
         Returns ``(heap, offsets, kinds, lookup)``: the concatenated term
         records in ID order, the ``n + 1`` record-boundary offsets, the
         per-ID kind bytes, and the ID permutation sorted by record bytes
-        (what :meth:`LazyTermDictionary.id_for` binary-searches).  The
-        output is deterministic for a given term sequence, which is what
-        makes saving an unmutated reopened store byte-identical.
+        (what :meth:`id_for` binary-searches).  With nothing interned past
+        the base its sections pass through verbatim; otherwise the tail's
+        records are appended (no base record is decoded) and ``lookup`` is
+        recomputed.  The output is deterministic for a given term
+        sequence, which is what makes saving an unmutated reopened store
+        byte-identical.
         """
-        from array import array
-
-        heap = bytearray()
-        offsets = array("q", [0])
-        records: List[bytes] = []
-        for term in self.terms():
-            record = encode_term_record(term)
-            records.append(record)
-            heap += record
-            offsets.append(len(heap))
-        lookup = array("q", sorted(range(len(records)), key=records.__getitem__))
-        return bytes(heap), offsets, bytes(self._kinds), lookup
-
-
-class LazyTermDictionary(TermDictionary):
-    """A read-only :class:`TermDictionary` view over snapshot sections.
-
-    Construction is O(1) in the number of interned terms (one ``None``
-    placeholder list aside): no record is parsed and no ``Term`` object is
-    built until something asks for it.
-
-    * :meth:`decode` parses the requested record from the heap on first
-      use and memoises the term per ID;
-    * :meth:`id_for` binary-searches the record-sorted ID permutation,
-      comparing raw heap bytes — O(log n) probes, no interning;
-    * the first call that must *intern* (``encode`` of an unknown term, or
-      grabbing :attr:`ids_map` for a staging loop) transparently
-      **promotes** the dictionary: every record is decoded once and the
-      writable ``Term -> ID`` map is built, after which behaviour is
-      exactly that of a warm :class:`TermDictionary`.
-    """
-
-    __slots__ = (
-        "_heap",
-        "_offsets",
-        "_lookup",
-        "_id_cache",
-        "_promoted",
-        "_base_count",
-        "_tail_heap",
-        "_tail_offsets",
-        "_tail_kinds",
-        "_tail_ids",
-    )
-
-    def __init__(
-        self,
-        heap: memoryview,
-        offsets: memoryview,
-        kinds: memoryview,
-        lookup: memoryview,
-    ):
-        count = len(offsets) - 1
-        if count < 0 or len(kinds) != count or len(lookup) != count:
-            raise StoreError("Inconsistent dictionary snapshot sections")
-        self._heap = heap
-        self._offsets = offsets
-        self._lookup = lookup
-        # Memoised id_for results (misses included): the SPARQL evaluator
-        # re-resolves a query's constant terms once per pattern probe, so
-        # without this every probe would repeat the O(log n) record
-        # search.  Safe because the dictionary is immutable until
-        # promotion, and superseded by the real interning map afterwards.
-        self._id_cache: Dict[Term, Optional[int]] = {}
-        self._terms = [None] * count  # type: ignore[list-item]
-        self._kinds = kinds  # type: ignore[assignment]
-        self._ids = _InternMap([], bytearray())  # replaced on promotion
-        self._promoted = False
-        # Snapshot-delta tail: records appended by extend_tail() past the
-        # base sections.  The tail stays outside the record-sorted lookup
-        # permutation (recomputing it would be O(n log n) and defeat the
-        # O(1 + tail) delta reopen); id_for consults the small exact-match
-        # map for tail IDs instead.
-        self._base_count = count
-        self._tail_heap = bytearray()
-        self._tail_offsets: List[int] = [0]
-        self._tail_kinds = bytearray()
-        self._tail_ids: Dict[bytes, int] = {}
-
-    @property
-    def is_promoted(self) -> bool:
-        """Whether the writable interning map has been built."""
-        return self._promoted
-
-    def _record(self, tid: int):
-        if tid < self._base_count:
-            return self._heap[self._offsets[tid] : self._offsets[tid + 1]]
-        index = tid - self._base_count
-        return memoryview(self._tail_heap)[
-            self._tail_offsets[index] : self._tail_offsets[index + 1]
-        ]
-
-    def extend_tail(self, heap, offsets, kinds) -> None:
-        """Append snapshot-delta term records past the current ID space.
-
-        ``heap``/``offsets``/``kinds`` have the same layout as the base
-        dictionary sections (``offsets`` holds ``n + 1`` boundaries
-        starting at 0).  The records receive the next dense IDs in order
-        — exactly the IDs they held when the delta was written, which the
-        persist layer validates via the delta's recorded base term count.
-        The dictionary must still be unpromoted (a freshly opened one):
-        the tail is indexed by an exact-record map and the base lookup
-        permutation is left untouched.
-        """
-        count = len(offsets) - 1
-        if count <= 0:
-            return
-        start = len(self._terms)
-        grown = len(self._tail_heap)
-        self._tail_heap += bytes(heap)
-        tail_offsets = self._tail_offsets
-        for index in range(count):
-            tail_offsets.append(grown + offsets[index + 1])
-        self._tail_kinds += bytes(kinds)
-        self._terms.extend([None] * count)
-        tail_ids = self._tail_ids
-        for index in range(count):
-            tail_ids[bytes(self._record(start + index))] = start + index
-
-    @property
-    def has_tail(self) -> bool:
-        """Whether delta term records were appended past the base sections."""
-        return len(self._tail_offsets) > 1
-
-    def _promote(self) -> None:
-        """Build the writable interning state (idempotent)."""
-        if self._promoted:
-            return
-        terms = self._terms
-        for tid in range(len(terms)):
-            if terms[tid] is None:
-                terms[tid] = decode_term_record(self._record(tid))
-        kinds = bytearray(self._kinds)
-        kinds += self._tail_kinds
-        ids = _InternMap(terms, kinds)
-        ids.update((term, tid) for tid, term in enumerate(terms))
-        self._kinds = kinds
-        self._ids = ids
-        self._promoted = True
-
-    # -- encoding ------------------------------------------------------ #
-    def encode(self, term: Term) -> int:
-        tid = self.id_for(term)
-        if tid is not None:
-            return tid
-        self._promote()
-        return self._ids[term]
-
-    def id_for(self, term: Term) -> Optional[int]:
-        if self._promoted:
-            return self._ids.get(term)
-        cache = self._id_cache
-        if term in cache:
-            return cache[term]
-        try:
-            record = encode_term_record(term)
-        except StoreError:
-            return None  # non-term probe: the warm dict.get returns None too
-        if self._tail_ids:
-            tail_tid = self._tail_ids.get(record)
-            if tail_tid is not None:
-                cache[term] = tail_tid
-                return tail_tid
-        lookup = self._lookup
-        low, high = 0, len(lookup)
-        while low < high:
-            mid = (low + high) // 2
-            if bytes(self._record(lookup[mid])) < record:
-                low = mid + 1
-            else:
-                high = mid
-        tid: Optional[int] = None
-        if low < len(lookup):
-            candidate = lookup[low]
-            if self._record(candidate) == record:
-                tid = candidate
-        if len(cache) >= _ID_CACHE_LIMIT:
-            cache.clear()  # memo only — dropping it costs re-probes, not answers
-        cache[term] = tid
-        return tid
-
-    @property
-    def ids_map(self) -> Dict[Term, int]:
-        self._promote()
-        return self._ids
-
-    def __contains__(self, term: object) -> bool:
-        if self._promoted:
-            return term in self._ids
-        return self.id_for(term) is not None  # type: ignore[arg-type]
-
-    # -- kind queries --------------------------------------------------- #
-    def kind(self, tid: int) -> int:
-        if not self._promoted and tid >= self._base_count:
-            try:
-                return self._tail_kinds[tid - self._base_count]
-            except IndexError:
-                raise StoreError(f"Unknown term ID: {tid}") from None
-        return super().kind(tid)
-
-    def is_literal_id(self, tid: int) -> bool:
-        kinds = self._kinds
-        if self._promoted or tid < len(kinds):
-            return kinds[tid] == KIND_LITERAL
-        return self._tail_kinds[tid - self._base_count] == KIND_LITERAL
-
-    def is_entity_id(self, tid: int) -> bool:
-        return not self.is_literal_id(tid)
-
-    # -- decoding ------------------------------------------------------ #
-    def decode(self, tid: int) -> Term:
-        try:
-            term = self._terms[tid]
-        except IndexError:
-            raise StoreError(f"Unknown term ID: {tid}") from None
-        if term is None:
-            term = decode_term_record(self._record(tid))
-            self._terms[tid] = term
-        return term
-
-    def decode_triple(self, ids: Tuple[int, int, int]) -> Triple:
-        decode = self.decode
-        return Triple(decode(ids[0]), decode(ids[1]), decode(ids[2]))  # type: ignore[arg-type]
-
-    def terms(self) -> Iterator[Term]:
-        return (self.decode(tid) for tid in range(len(self._terms)))
-
-    # -- serialisation ------------------------------------------------- #
-    def snapshot_columns(self) -> Tuple[bytes, object, bytes, object]:
-        """Snapshot sections; raw views are passed through unpromoted.
-
-        An unpromoted lazy dictionary hands back its original section
-        bytes verbatim (no record is decoded), which both keeps resaving a
-        cold store cheap and guarantees byte identity.  With a delta tail
-        the heap/offsets/kinds concatenate (still no Term is decoded) and
-        only the lookup permutation is recomputed over raw record bytes —
-        the deterministic output a warm dictionary holding the same terms
-        would produce.  Once promoted it falls back to the generic
-        deterministic builder.
-        """
-        from array import array
-
-        if self._promoted:
-            return super().snapshot_columns()
-        if not self.has_tail:
+        base = self._base_count
+        if len(self._terms) == base:
             return bytes(self._heap), self._offsets, bytes(self._kinds), self._lookup
-        base_len = len(self._heap)
-        heap = bytes(self._heap) + bytes(self._tail_heap)
+        records = [self._record(tid) for tid in range(base)]
+        records.extend(encode_term_record(term) for term in self._terms[base:])
         offsets = array("q", self._offsets)
-        offsets.extend(base_len + bound for bound in self._tail_offsets[1:])
-        kinds = bytes(self._kinds) + bytes(self._tail_kinds)
-        lookup = array(
-            "q",
-            sorted(
-                range(len(self._terms)),
-                key=lambda tid: bytes(self._record(tid)),
-            ),
-        )
-        return heap, offsets, kinds, lookup
+        for record in records[base:]:
+            offsets.append(offsets[-1] + len(record))
+        heap = bytes(self._heap) + b"".join(records[base:])
+        lookup = array("q", sorted(range(len(records)), key=records.__getitem__))
+        return heap, offsets, bytes(self._kinds), lookup

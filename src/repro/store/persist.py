@@ -6,10 +6,10 @@ heap + offset table) and each index order's sorted ID columns, and that
 reopens without re-sorting or re-interning anything — the cold store's
 indexes are :class:`~repro.store.index.FrozenIdIndex` views straight over
 the mapped file, and its dictionary is a
-:class:`~repro.store.dictionary.LazyTermDictionary` that decodes strings on
-demand.  The planner, block kernels, scatter router and O(1) COUNT paths
-all read the same ``count_for_key`` / ``third_count`` bookkeeping they
-read on a warm store.
+:class:`~repro.store.dictionary.TermDictionary` whose base is the mapped
+string heap, decoded on demand.  The planner, block kernels, scatter
+router and O(1) COUNT paths all read the same ``count_for_key`` /
+``third_count`` bookkeeping they read on a warm store.
 
 Container layout (one file, all integers little-endian)::
 
@@ -41,7 +41,7 @@ Dictionary sections: ``dict/heap`` (concatenated
 :func:`~repro.store.dictionary.encode_term_record` records in ID order),
 ``dict/offsets`` (``terms + 1`` int64 record boundaries), ``dict/kinds``
 (one kind byte per ID), ``dict/lookup`` (the ID permutation sorted by
-record bytes, binary-searched by lazy ``id_for``).  Index sections, for
+record bytes, binary-searched by ``id_for``).  Index sections, for
 each order ``spo`` / ``pos`` / ``osp``: the five CSR columns ``keys``,
 ``key_groups``, ``seconds``, ``group_starts``, ``thirds`` described on
 :class:`FrozenIdIndex`.
@@ -51,7 +51,7 @@ persistence lives only in sharded snapshots (a single-partition user runs
 ``ShardedTripleStore(num_shards=1)``).  A sharded snapshot is a
 directory: ``manifest.json`` (shard topology + self-CRC), one shared
 dictionary container and one columns container per shard — every shard
-reopens over the same :class:`LazyTermDictionary`, so the ID space
+reopens over the same :class:`TermDictionary`, so the ID space
 survives exactly.  ``ShardedTripleStore.save_delta`` appends per-shard
 and dictionary ``delta`` files, and the manifest names exactly the
 chain that applies.  Payload files carry a **generation suffix**
@@ -79,14 +79,11 @@ import sys
 import zlib
 from array import array
 from pathlib import Path
+from struct import error as struct_error
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.errors import SnapshotCorruptError, StoreError
-from repro.store.dictionary import (
-    LazyTermDictionary,
-    TermDictionary,
-    encode_term_record,
-)
+from repro.errors import RDFError, SnapshotCorruptError, StoreError
+from repro.store.dictionary import TermDictionary, encode_term_record
 from repro.store.index import FrozenIdIndex, IdTripleIndex
 
 MAGIC = b"RPROSNAP"
@@ -276,8 +273,8 @@ def _load_buffer(path: Union[str, Path], use_mmap: bool):
 # Section builders
 # --------------------------------------------------------------------- #
 def dictionary_sections(dictionary: TermDictionary) -> List[Tuple[str, bytes]]:
-    """The four dictionary sections (raw pass-through for unpromoted
-    lazy dictionaries, deterministic rebuild otherwise)."""
+    """The four dictionary sections (the reopened base passes through
+    verbatim when nothing was interned past it)."""
     heap, offsets, kinds, lookup = dictionary.snapshot_columns()
     return [
         ("dict/heap", bytes(heap)),
@@ -461,7 +458,7 @@ def _apply_deltas(
 
 def _build_dictionary(
     header: dict, sections: Dict[str, memoryview]
-) -> LazyTermDictionary:
+) -> TermDictionary:
     for tag in DICT_SECTIONS:
         if tag not in sections:
             raise SnapshotCorruptError(f"Snapshot missing section {tag!r}")
@@ -475,7 +472,7 @@ def _build_dictionary(
     if len(offsets) and (offsets[0] != 0 or offsets[len(offsets) - 1] != len(heap)):
         raise SnapshotCorruptError("Dictionary offsets do not span the string heap")
     try:
-        return LazyTermDictionary(
+        return TermDictionary(
             heap=heap,
             offsets=offsets,
             kinds=sections["dict/kinds"],
@@ -982,7 +979,7 @@ def _read_manifest(directory: Path) -> dict:
 
 def _open_shared_dictionary(
     directory: Path, manifest: dict, mmap: bool, verify: bool
-) -> Tuple[LazyTermDictionary, object]:
+) -> Tuple[TermDictionary, object]:
     """Open a sharded snapshot's shared dictionary file.
 
     The one prologue both the parent-side :func:`open_sharded_store` and
@@ -1010,12 +1007,21 @@ def _open_shared_dictionary(
             raise SnapshotCorruptError(
                 "Dictionary delta chain term counts are inconsistent"
             )
-        dictionary.extend_tail(
-            delta_views["dterms/heap"],
-            _int64_view(delta_views["dterms/offsets"], "dterms/offsets"),
-            delta_views["dterms/kinds"],
-        )
-        # extend_tail copies the records it keeps; the delta buffer may go.
+        # Copied out of the delta buffer, which may then go.
+        heap = bytes(delta_views["dterms/heap"])
+        bounds = _int64_view(delta_views["dterms/offsets"], "dterms/offsets").tolist()
+        kinds = bytes(delta_views["dterms/kinds"])
+        records = [heap[start:end] for start, end in zip(bounds, bounds[1:])]
+        if b"".join(record[:1] for record in records) != kinds:
+            raise SnapshotCorruptError(
+                "Dictionary delta records disagree with their kind bytes"
+            )
+        try:
+            dictionary.extend(records)
+        except (RDFError, StoreError, ValueError, IndexError, struct_error) as error:
+            raise SnapshotCorruptError(
+                f"Malformed dictionary delta: {error}"
+            ) from None
     if len(dictionary) != manifest["terms"]:
         raise SnapshotCorruptError(
             "Dictionary delta chain does not reach the manifest's term count"
@@ -1069,7 +1075,7 @@ def open_shard_stores(
     verify: bool = True,
 ):
     """Open a subset of a sharded snapshot's shards over one shared
-    lazy dictionary.
+    snapshot-based dictionary.
 
     This is the worker-process entry point of the process-parallel
     executor (:mod:`repro.shard.workers`): each worker mmap-opens *its*

@@ -220,7 +220,7 @@ class TripleStore:
         self._triples: Dict[Tuple[int, int, int], Triple] = {}
         self._triple_ids: Dict[Triple, Tuple[int, int, int]] = {}
         # Cold-opened stores (TripleStore.open) start with frozen columnar
-        # indexes, a lazy dictionary and *no* materialised Triple maps;
+        # indexes, a snapshot-based dictionary and *no* materialised Triple maps;
         # these two flags track that state.  Warm stores never flip them.
         self._lazy_triples = False
         self._snapshot_retained = None  # keeps the mmap buffer alive

@@ -101,7 +101,7 @@ def test_battery_matches_warm_reference(representation, evaluators, world_kb):
 
 def test_cold_stores_stay_frozen_after_the_battery(evaluators):
     # The whole battery is read-only: no representation may have been
-    # silently promoted to the writable form.
+    # silently thawed to the writable form.
     assert evaluators["cold-mmap"].store.is_frozen
     assert evaluators["cold-bytes"].store.is_frozen
     for shard in evaluators["cold-sharded4"].store.shards:

@@ -134,6 +134,13 @@ class TestMutation:
         with pytest.raises(StoreError):
             sharded.bulk_load(["not a triple"])
 
+    def test_remove_of_non_triple_returns_false(self, triples):
+        # Mirrors TripleStore.remove: a non-Triple is simply not present.
+        sharded = ShardedTripleStore(num_shards=2, triples=triples[:20])
+        assert sharded.remove("not a triple") is False
+        assert TripleStore().remove("not a triple") is False
+        assert len(sharded) == len(set(triples[:20]))
+
 
 class TestQuerySurface:
     @pytest.mark.parametrize("num_shards", [2, 8])

@@ -1,32 +1,70 @@
 """Unit tests for the term dictionary (ID interning layer)."""
 
-import pytest
+import json
+from array import array
 
-from repro.errors import StoreError
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.errors import SnapshotCorruptError, StoreError
 from repro.rdf.terms import BlankNode, IRI, Literal
 from repro.rdf.triple import Triple
-from repro.store.dictionary import KIND_BLANK, KIND_IRI, KIND_LITERAL, TermDictionary
+from repro.shard.sharded_store import ShardedTripleStore
+from repro.store.dictionary import (
+    KIND_BLANK,
+    KIND_IRI,
+    KIND_LITERAL,
+    TermDictionary,
+    encode_term_record,
+)
+from repro.store.persist import KIND_DELTA, delta_term_sections, write_container
 from repro.store.triplestore import TripleStore
 
 from tests.conftest import EX
 
 
+def _reopen(dictionary):
+    """A dictionary over the snapshot sections of ``dictionary``."""
+    heap, offsets, kinds, lookup = dictionary.snapshot_columns()
+    return TermDictionary(
+        heap=memoryview(heap),
+        offsets=memoryview(array("q", offsets)),
+        kinds=memoryview(kinds),
+        lookup=memoryview(array("q", lookup)),
+    )
+
+
+def _reopened_dictionary():
+    """A dictionary reopened over the snapshot sections of one holding a
+    few terms unrelated to the tests below (a non-empty base)."""
+    base = TermDictionary()
+    for term in (EX.unrelated, Literal("unrelated"), BlankNode("unrelated")):
+        base.encode(term)
+    return _reopen(base)
+
+
+@pytest.fixture(params=["fresh", "reopened"])
+def dictionary(request):
+    """The battery runs on an empty-base and a snapshot-based dictionary."""
+    return TermDictionary() if request.param == "fresh" else _reopened_dictionary()
+
+
 class TestInterning:
-    def test_encode_assigns_dense_ids(self):
-        dictionary = TermDictionary()
+    def test_encode_assigns_dense_ids(self, dictionary):
+        start = len(dictionary)
         first = dictionary.encode(EX.a)
         second = dictionary.encode(EX.b)
-        assert [first, second] == [0, 1]
-        assert len(dictionary) == 2
+        assert [first, second] == [start, start + 1]
+        assert len(dictionary) == start + 2
 
-    def test_encode_is_idempotent(self):
-        dictionary = TermDictionary()
+    def test_encode_is_idempotent(self, dictionary):
+        start = len(dictionary)
         tid = dictionary.encode(EX.a)
         assert dictionary.encode(EX.a) == tid
-        assert len(dictionary) == 1
+        assert len(dictionary) == start + 1
 
-    def test_round_trip(self):
-        dictionary = TermDictionary()
+    def test_round_trip(self, dictionary):
         terms = [EX.a, Literal("x"), Literal(7), BlankNode("b1"), Literal("y", language="en")]
         ids = [dictionary.encode(term) for term in terms]
         assert [dictionary.decode(tid) for tid in ids] == terms
@@ -37,20 +75,22 @@ class TestInterning:
             IRI("http://x.test/a")
         )
 
-    def test_id_for_does_not_intern(self):
-        dictionary = TermDictionary()
+    def test_id_for_does_not_intern(self, dictionary):
+        start = len(dictionary)
         assert dictionary.id_for(EX.a) is None
-        assert len(dictionary) == 0
+        assert len(dictionary) == start
 
-    def test_contains(self):
-        dictionary = TermDictionary()
+    def test_contains(self, dictionary):
         dictionary.encode(EX.a)
         assert EX.a in dictionary
         assert EX.b not in dictionary
 
-    def test_decode_unknown_id_raises(self):
-        with pytest.raises(StoreError):
-            TermDictionary().decode(0)
+    def test_decode_unknown_id_raises(self, dictionary):
+        for tid in (len(dictionary), -1):
+            with pytest.raises(StoreError, match="Unknown term ID"):
+                dictionary.decode(tid)
+            with pytest.raises(StoreError, match="Unknown term ID"):
+                dictionary.kind(tid)
 
     def test_encode_rejects_non_terms(self):
         with pytest.raises(StoreError):
@@ -64,8 +104,7 @@ class TestInterning:
 
 
 class TestKinds:
-    def test_kind_tags(self):
-        dictionary = TermDictionary()
+    def test_kind_tags(self, dictionary):
         iri_id = dictionary.encode(EX.a)
         literal_id = dictionary.encode(Literal("x"))
         blank_id = dictionary.encode(BlankNode("b"))
@@ -73,8 +112,7 @@ class TestKinds:
         assert dictionary.kind(literal_id) == KIND_LITERAL
         assert dictionary.kind(blank_id) == KIND_BLANK
 
-    def test_literal_and_entity_predicates(self):
-        dictionary = TermDictionary()
+    def test_literal_and_entity_predicates(self, dictionary):
         iri_id = dictionary.encode(EX.a)
         literal_id = dictionary.encode(Literal("x"))
         assert dictionary.is_entity_id(iri_id) and not dictionary.is_literal_id(iri_id)
@@ -82,10 +120,66 @@ class TestKinds:
 
 
 class TestTripleHelpers:
-    def test_encode_decode_triple_round_trip(self):
-        dictionary = TermDictionary()
+    def test_encode_decode_triple_round_trip(self, dictionary):
         triple = Triple(EX.s, EX.p, Literal("o"))
         assert dictionary.decode_triple(dictionary.encode_triple(triple)) == triple
+
+
+class TestSnapshotBase:
+    def test_base_terms_keep_their_record_ids(self):
+        dictionary = _reopened_dictionary()
+        assert dictionary.encode(Literal("unrelated")) == 1
+        assert dictionary.id_for(BlankNode("unrelated")) == 2
+        assert len(dictionary) == 3
+
+    @given(
+        st.sets(st.integers(0, 60)),
+        st.lists(st.integers(0, 80), min_size=1, max_size=20, unique=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_extend_refuses_exactly_the_known_terms(self, base_keys, new_keys):
+        # The galloping base check must agree with a brute-force one.
+        base = TermDictionary()
+        for key in sorted(base_keys):
+            base.encode(EX[f"t{key}"])
+        dictionary = _reopen(base)
+        records = [encode_term_record(EX[f"t{key}"]) for key in new_keys]
+        if base_keys & set(new_keys):
+            with pytest.raises(StoreError, match="repeats base term"):
+                dictionary.extend(records)
+            return
+        dictionary.extend(records)
+        start = len(base_keys)
+        assert [dictionary.id_for(EX[f"t{key}"]) for key in new_keys] == list(
+            range(start, start + len(new_keys))
+        )
+        with pytest.raises(StoreError, match="repeat a known term"):
+            dictionary.extend(records[:1])
+
+    def test_delta_record_repeating_a_base_term_is_corrupt(self, tmp_path):
+        # A dictionary delta record must land on the next dense ID; one
+        # that repeats a base term would otherwise get a second ID and
+        # silently orphan the base facts that use the first.
+        store = ShardedTripleStore(num_shards=1, triples=[Triple(EX.a, EX.p, EX.o)])
+        directory = tmp_path / "shd"
+        store.save(directory)
+        store.add(Triple(EX.fresh, EX.p, EX.o))
+        assert store.save_delta(directory)
+        manifest = json.loads((directory / "manifest.json").read_text())
+        (delta_name,) = manifest["dictionary_deltas"]
+        forged = TermDictionary()
+        forged.encode(EX.a)
+        write_container(
+            directory / delta_name,
+            kind=KIND_DELTA,
+            name=store.name,
+            sections=delta_term_sections(forged, 0),
+            triples=0,
+            terms=4,
+            extra={"base_terms": 3, "sequence": 1},
+        )
+        with pytest.raises(SnapshotCorruptError, match="repeats base term"):
+            ShardedTripleStore.open(directory)
 
 
 class TestStabilityAcrossStoreMutation:

@@ -1,4 +1,4 @@
-"""Snapshot persistence: round-trip, corruption, laziness and promotion.
+"""Snapshot persistence: round-trip, corruption, laziness and mutation.
 
 The contract under test (see :mod:`repro.store.persist`):
 
@@ -8,8 +8,9 @@ The contract under test (see :mod:`repro.store.persist`):
   manifest), and truncating the file, raises a clean
   :class:`~repro.errors.SnapshotCorruptError`;
 * a cold-opened store answers the whole bookkeeping API identically to
-  the warm store it was saved from, stays lazy under reads, and promotes
-  transparently on the first mutation.
+  the warm store it was saved from, stays lazy under reads, and thaws
+  transparently on the first mutation; its dictionary keeps the snapshot
+  as a base, so known terms keep their IDs and new ones intern past it.
 """
 
 import json
@@ -27,7 +28,6 @@ from repro.rdf.triple import Triple
 from repro.shard.sharded_store import ShardedTripleStore
 from repro.store import persist
 from repro.store.dictionary import (
-    LazyTermDictionary,
     TermDictionary,
     decode_term_record,
     encode_term_record,
@@ -36,6 +36,12 @@ from repro.store.index import FrozenIdIndex, IdTripleIndex
 from repro.store.triplestore import TripleStore
 
 EX = Namespace("http://persist.test/")
+
+
+def _decoded_ids(dictionary):
+    """The IDs whose Term is materialised: base records parsed so far,
+    plus any term interned past the snapshot."""
+    return {tid for tid, term in enumerate(dictionary._terms) if term is not None}
 
 
 def _mixed_triples():
@@ -125,14 +131,21 @@ class TestByteIdenticalRoundTrip:
         reopened.save(second)
         assert snapshot_path.read_bytes() == second.read_bytes()
 
-    def test_resave_after_promotion_is_still_identical(
+    def test_resave_after_resolving_every_term_is_still_identical(
         self, tmp_path, snapshot_path
     ):
-        # Promote the dictionary and the Triple maps without changing the
-        # triple set: the rebuilt sections must reproduce the raw ones.
+        # Resolve every base term through the interning map and
+        # materialise the Triple maps without interning anything new: the
+        # sections must still pass through verbatim.
         reopened = TripleStore.open(snapshot_path)
-        _ = reopened.dictionary.ids_map  # forces dictionary promotion
+        dictionary = reopened.dictionary
+        count = len(dictionary)
+        intern = dictionary.ids_map
+        assert [intern[term] for term in list(dictionary.terms())] == list(
+            range(count)
+        )
         _ = reopened.id_triples  # forces Triple-map materialisation
+        assert len(dictionary) == count
         second = tmp_path / "second.snap"
         reopened.save(second)
         assert snapshot_path.read_bytes() == second.read_bytes()
@@ -326,7 +339,7 @@ class TestCorruption:
 
 
 # --------------------------------------------------------------------- #
-# Laziness, equivalence and promotion
+# Laziness, equivalence and mutation
 # --------------------------------------------------------------------- #
 class TestColdStoreSemantics:
     def test_reads_stay_lazy(self, snapshot_path, warm_store):
@@ -339,9 +352,11 @@ class TestColdStoreSemantics:
         assert cold.count_ids(None, pid, None) == warm_store.count_ids(
             None, warm_store.term_id(EX.age), None
         )
-        # Membership, counts and term lookups must not thaw anything.
+        # Membership, counts and term lookups must not thaw anything,
+        # intern anything or decode any term record.
         assert cold.is_frozen
-        assert not cold.dictionary.is_promoted
+        assert len(cold.dictionary) == len(warm_store.dictionary)
+        assert _decoded_ids(cold.dictionary) == set()
 
     def test_bookkeeping_equivalence(self, snapshot_path, warm_store):
         cold = TripleStore.open(snapshot_path)
@@ -415,7 +430,7 @@ class TestColdStoreSemantics:
         for key in frozen.keys():
             assert thawed.count_for_key(key) == frozen.count_for_key(key)
 
-    def test_mutation_promotes_and_stays_correct(self, snapshot_path, warm_store):
+    def test_mutation_interns_past_the_snapshot(self, snapshot_path, warm_store):
         cold = TripleStore.open(snapshot_path)
         fresh = Triple(EX.fresh_subject, EX.p0, Literal("fresh"))
         assert cold.add(fresh)
@@ -427,13 +442,16 @@ class TestColdStoreSemantics:
         assert cold.remove(victim)
         assert victim not in cold
         assert len(cold) == len(warm_store)
-        # Unknown-term interning went through the lazy dictionary's
-        # promotion; known terms kept their snapshot IDs.
-        assert cold.dictionary.is_promoted
+        # The two unknown terms took the next dense IDs past the
+        # snapshot; known terms kept their snapshot IDs.
+        base = len(warm_store.dictionary)
+        assert cold.term_id(EX.fresh_subject) == base
+        assert cold.term_id(Literal("fresh")) == base + 1
+        assert len(cold.dictionary) == base + 2
         for term in list(warm_store.dictionary.terms()):
             assert cold.term_id(term) == warm_store.term_id(term)
 
-    def test_bulk_load_promotes(self, snapshot_path):
+    def test_bulk_load_interns_past_the_snapshot(self, snapshot_path, warm_store):
         cold = TripleStore.open(snapshot_path)
         before = len(cold)
         inserted = cold.bulk_load(
@@ -442,6 +460,12 @@ class TestColdStoreSemantics:
         assert inserted == 10
         assert len(cold) == before + 10
         assert not cold.is_frozen
+        base = len(warm_store.dictionary)
+        assert [cold.term_id(EX[f"bulk{i}"]) for i in range(10)] == list(
+            range(base, base + 10)
+        )
+        for term in (EX.p0, EX.o0):
+            assert cold.term_id(term) == warm_store.term_id(term)
 
     def test_noop_bulk_load_does_not_thaw(self, snapshot_path, warm_store):
         # An empty or all-duplicate batch stages and dedupes but inserts
@@ -541,21 +565,37 @@ class TestColdStoreSemantics:
         assert cold.add(Triple(EX.a, EX.b, EX.c))
         assert len(cold) == 1
 
-    def test_lazy_dictionary_decode_and_lookup(self, snapshot_path, warm_store):
+    def test_reopened_dictionary_decode_and_lookup(
+        self, snapshot_path, warm_store, monkeypatch
+    ):
         cold = TripleStore.open(snapshot_path)
         dictionary = cold.dictionary
-        assert isinstance(dictionary, LazyTermDictionary)
-        assert len(dictionary) == len(warm_store.dictionary)
-        # Unknown probes answer None without promotion.
+        count = len(warm_store.dictionary)
+        assert len(dictionary) == count
+        # Unknown probes answer None without interning or decoding.
         assert dictionary.id_for(EX.never_seen) is None
         assert EX.never_seen not in dictionary
+        assert len(dictionary) == count
         some = list(warm_store.dictionary.terms())[:10]
         for term in some:
             tid = dictionary.id_for(term)
             assert tid == warm_store.dictionary.id_for(term)
             assert dictionary.decode(tid) == term
             assert dictionary.kind(tid) == warm_store.dictionary.kind(tid)
-        assert not dictionary.is_promoted
+        decoded = _decoded_ids(dictionary)
+        assert decoded == {warm_store.term_id(term) for term in some}
+        # Interning an unknown term binary-searches the base (O(log n)
+        # record probes), takes the next dense ID and decodes nothing.
+        probes = []
+        record = TermDictionary._record
+        monkeypatch.setattr(
+            TermDictionary,
+            "_record",
+            lambda self, tid: probes.append(tid) or record(self, tid),
+        )
+        assert dictionary.encode(EX.brand_new) == count
+        assert len(probes) <= 2 * count.bit_length() + 2
+        assert _decoded_ids(dictionary) == decoded | {count}
         with pytest.raises(StoreError):
             dictionary.decode(len(dictionary) + 5)
         # Non-Term probes answer None, exactly like the warm dict.get.
@@ -612,7 +652,7 @@ class TestShardedColdStore:
         sharded.save(directory)
         cold = ShardedTripleStore.open(directory)
         # One new-subject triple routes to the last shard: only that
-        # shard may pay materialisation/promotion; the others must stay
+        # shard may pay materialisation/thawing; the others must stay
         # frozen snapshot views.
         inserted = cold.bulk_load([Triple(EX.very_late, EX.p0, EX.o0)])
         assert inserted == 1

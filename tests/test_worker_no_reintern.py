@@ -11,10 +11,11 @@ These property tests pin that contract:
   again yields the same ID;
 * result multisets of worker evaluation equal in-process evaluation
   *as raw ID bindings* (not merely as decoded terms);
-* workers never promote their lazy dictionary and never thaw a frozen
-  shard index copy-on-write — the read path alone must suffice;
+* workers never intern a term past the snapshot's (``interned == 0``:
+  one that did would fork the ID space) and never thaw a frozen shard
+  index copy-on-write — the read path alone must suffice;
 * a cold parent (reopened from the same snapshot) stays lazy too: a
-  full process-backend query round-trip promotes nothing on either side.
+  full process-backend query round-trip interns nothing on either side.
 """
 
 import multiprocessing
@@ -122,12 +123,12 @@ class TestNoReintern:
             # The workload above crossed the process boundary as IDs
             # only: no worker interned anything, no shard index thawed.
             for info in executor.ping_all():
-                assert info["promoted"] is False
+                assert info["interned"] == 0
                 assert all(info["frozen"].values())
 
     @given(_triples)
     @settings(max_examples=8, deadline=None)
-    def test_cold_parent_round_trip_promotes_nothing(self, triples):
+    def test_cold_parent_round_trip_interns_nothing(self, triples):
         store = ShardedTripleStore(num_shards=2, triples=triples)
         directory = Path(tempfile.mkdtemp(prefix="nointern-cold-")) / "snap"
         store.save(directory)
@@ -140,12 +141,12 @@ class TestNoReintern:
                 "SELECT ?s ?p ?o WHERE { ?s ?p ?o . "
                 "?s <http://nointern.test/n0> ?x }"
             )
-            # Results decode through the parent's lazy dictionary
-            # without promoting it; workers stayed lazy as well.
-            assert not cold.dictionary.is_promoted
+            # Results decode through the parent's dictionary without
+            # interning anything; workers interned nothing either.
+            assert len(cold.dictionary) == len(store.dictionary)
             for shard in cold.shards:
                 assert shard.is_frozen
             for info in executor.ping_all():
-                assert info["promoted"] is False
+                assert info["interned"] == 0
                 assert all(info["frozen"].values())
             assert result is not None
